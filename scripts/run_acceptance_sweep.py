@@ -59,8 +59,7 @@ def main():
     write_manifest(os.path.join(RESULTS, "manifest.json"),
                    split=split, extrapolation=extrapolation, seeds=SEEDS,
                    levels=LEVELS, architectures=ARCH_SETTINGS, optimizer=opt,
-                   activation="relu", noise_seed=0, input_standardize=True,
-                   target_standardize=True, ame_checksums=checksums)
+                   activation="relu", noise_seed=0, ame_checksums=checksums)
     print("sweep complete:", os.path.join(RESULTS, "results.csv"))
 
 

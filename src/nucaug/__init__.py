@@ -7,7 +7,7 @@ from .ame import (DatasetSplit, NuclideRecord, diff_new_nuclei,
 from .augment import (AugmentedTrainingSet, TrainingRow, error_resample,
                       gaussian_draw, gaussian_resample)
 from .experiment import (ResultTable, TrialResult, TrialSpec, pct_change,
-                         rms_error, run_trial, seed_stability, sweep)
+                         rms_error, run_trial, sweep)
 from .network import (NetworkParams, NetworkSpec, TrainConfig, TrainedModel,
                       backward, forward, init_network, load_model, loss_mse,
                       param_count, save_model, train)
@@ -21,5 +21,5 @@ __all__ = [
     "forward", "gaussian_draw", "gaussian_resample", "init_network",
     "init_state", "load_model", "loss_mse", "optimizer_step", "param_count",
     "parse_mass_table", "pct_change", "rms_error", "run_trial", "save_model",
-    "seed_stability", "split_dataset", "sweep", "train",
+    "split_dataset", "sweep", "train",
 ]

@@ -9,11 +9,11 @@ trials failed.
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import hashlib
 import os
 import sys
-from configparser import ConfigParser
 
 from . import __version__, ame, augment, experiment, network, report
 from .errors import (ConfigurationError, DataIntegrityError,
@@ -141,9 +141,7 @@ def cmd_train(args) -> int:
         ) from None
     spec = network.NetworkSpec(hidden_widths=widths, activation=args.activation)
     cfg = network.TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                              init_seed=args.seed, shuffle_seed=args.seed,
-                              input_standardize=not args.no_standardize,
-                              target_standardize=not args.no_target_standardize)
+                              init_seed=args.seed, shuffle_seed=args.seed)
     opt = OptimizerConfig(algorithm=args.optimizer, learning_rate=args.lr,
                           beta1=args.beta1, beta2=args.beta2)
     model = network.train(spec, train_set, cfg, opt)
@@ -167,44 +165,68 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _load_sweep_config(path):
-    if not os.path.exists(path):
-        raise ConfigurationError(f"config file not found: {path}")
-    cp = ConfigParser()
-    cp.read(path)
+# section -> keys a sweep config may set; anything else is rejected
+SWEEP_CONFIG_KEYS = {
+    "data": {"ame2016", "ame2020", "z_min", "n_min"},
+    "split": {"ratio", "seed"},
+    "sweep": {"architectures", "levels", "seeds", "noise_seed", "activation"},
+    "optimizer": {"algorithm", "learning_rate", "beta1", "beta2", "epsilon",
+                  "rmsprop_decay"},
+}
+_REQUIRED = object()
 
-    def need(section, key):
-        if not cp.has_option(section, key):
-            raise ConfigurationError(f"config missing [{section}] {key}")
-        return cp.get(section, key)
+
+def _load_sweep_config(path):
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        message = " ".join(str(exc).split())
+        raise ConfigurationError(f"bad config file {path}: {message}") from None
+    for section in cp.sections():
+        unknown = sorted(set(cp.options(section)) - SWEEP_CONFIG_KEYS.get(section, set()))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown config key(s) in [{section}]: {', '.join(unknown)}")
+
+    def get(section, key, convert=str, fallback=_REQUIRED):
+        text = cp.get(section, key, fallback=None)
+        if text is None:
+            if fallback is _REQUIRED:
+                raise ConfigurationError(f"config missing [{section}] {key}")
+            return fallback
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad config [{section}] {key}: {exc}") from None
 
     data = {
-        "ame2016": need("data", "ame2016"),
-        "ame2020": cp.get("data", "ame2020", fallback=None),
-        "z_min": cp.getint("data", "z_min", fallback=8),
-        "n_min": cp.getint("data", "n_min", fallback=8),
+        "ame2016": get("data", "ame2016"),
+        "ame2020": get("data", "ame2020", fallback=None),
+        "z_min": get("data", "z_min", int, 8),
+        "n_min": get("data", "n_min", int, 8),
     }
     split = {
-        "ratio": cp.getfloat("split", "ratio", fallback=0.7),
-        "seed": cp.getint("split", "seed", fallback=0),
+        "ratio": get("split", "ratio", float, 0.7),
+        "seed": get("split", "seed", int, 0),
     }
     sweep = {
-        "architectures": _parse_architectures(need("sweep", "architectures")),
-        "levels": _parse_levels(need("sweep", "levels")),
-        "seeds": _parse_seeds(need("sweep", "seeds")),
-        "noise_seed": cp.getint("sweep", "noise_seed", fallback=0),
-        "activation": cp.get("sweep", "activation", fallback="relu"),
-        "standardize": cp.getboolean("sweep", "standardize", fallback=True),
-        "target_standardize": cp.getboolean("sweep", "target_standardize",
-                                            fallback=True),
+        "architectures": get("sweep", "architectures", _parse_architectures),
+        "levels": get("sweep", "levels", _parse_levels),
+        "seeds": get("sweep", "seeds", _parse_seeds),
+        "noise_seed": get("sweep", "noise_seed", int, 0),
+        "activation": get("sweep", "activation", fallback="relu"),
     }
     opt = OptimizerConfig(
-        algorithm=cp.get("optimizer", "algorithm", fallback="adam"),
-        learning_rate=cp.getfloat("optimizer", "learning_rate", fallback=0.001),
-        beta1=cp.getfloat("optimizer", "beta1", fallback=0.9),
-        beta2=cp.getfloat("optimizer", "beta2", fallback=0.99),
-        epsilon=cp.getfloat("optimizer", "epsilon", fallback=1e-8),
-        rmsprop_decay=cp.getfloat("optimizer", "rmsprop_decay", fallback=0.9),
+        algorithm=get("optimizer", "algorithm", fallback="adam"),
+        learning_rate=get("optimizer", "learning_rate", float, 0.001),
+        beta1=get("optimizer", "beta1", float, 0.9),
+        beta2=get("optimizer", "beta2", float, 0.99),
+        epsilon=get("optimizer", "epsilon", float, 1e-8),
+        rmsprop_decay=get("optimizer", "rmsprop_decay", float, 0.9),
     )
     return data, split, sweep, opt
 
@@ -242,8 +264,6 @@ def cmd_sweep(args) -> int:
         sweep_cfg["architectures"], sweep_cfg["levels"], sweep_cfg["seeds"],
         opt, sweep_cfg["activation"], split, extrapolation,
         noise_seed=sweep_cfg["noise_seed"],
-        input_standardize=sweep_cfg["standardize"],
-        target_standardize=sweep_cfg["target_standardize"],
         cache_dir=os.path.join(args.out, "trials"), jobs=args.jobs,
         progress=progress)
 
@@ -253,10 +273,7 @@ def cmd_sweep(args) -> int:
         extrapolation=extrapolation, seeds=sweep_cfg["seeds"],
         levels=sweep_cfg["levels"], architectures=sweep_cfg["architectures"],
         optimizer=opt, activation=sweep_cfg["activation"],
-        noise_seed=sweep_cfg["noise_seed"],
-        input_standardize=sweep_cfg["standardize"],
-        target_standardize=sweep_cfg["target_standardize"],
-        ame_checksums=checksums)
+        noise_seed=sweep_cfg["noise_seed"], ame_checksums=checksums)
     _export_figures(os.path.join(args.out, "results.csv"), args.out)
 
     n_failed = sum(1 for t in table.trials if not t.ok)
@@ -267,21 +284,10 @@ def cmd_sweep(args) -> int:
 def _export_figures(results_csv, out_dir) -> list[str]:
     """Write every figure CSV the results support; skip incomplete ones."""
     rows = experiment.read_results_csv(results_csv)
-    exports = {
-        "table1": lambda: report.table_error_augmentation(rows),
-        "table2": lambda: report.table_gaussian(rows, "rms_test_mev"),
-        "table3": lambda: report.table_gaussian(rows, "rms_extrap_mev"),
-        "fig3": lambda: report.rms_vs_resampling(rows, column="rms_test_mev"),
-        "fig4": lambda: report.per_seed_traces(rows, column="rms_test_mev"),
-        "fig5": lambda: report.rms_vs_resampling(rows, column="rms_extrap_mev"),
-        "fig6": lambda: report.optimizer_comparison(rows),
-        "fig7": lambda: report.per_seed_traces(rows, column="rms_extrap_mev"),
-        "fig8": lambda: report.activation_comparison(rows),
-    }
     written = []
-    for fig_id, build in exports.items():
+    for fig_id, build in report.FIGURES.items():
         try:
-            header, data_rows = build()
+            header, data_rows = build(rows)
         except (IncompleteDataError, StopIteration):
             continue
         path = os.path.join(out_dir, f"{fig_id}.csv")
@@ -309,22 +315,8 @@ def cmd_report(args) -> int:
     else:
         if not args.results_csv:
             raise ConfigurationError(f"figure {args.figure!r} needs a results CSV")
-        raw = experiment.read_results_csv(args.results_csv)
-        builders = {
-            "table1": lambda: report.table_error_augmentation(raw),
-            "table2": lambda: report.table_gaussian(raw, "rms_test_mev"),
-            "table3": lambda: report.table_gaussian(raw, "rms_extrap_mev"),
-            "fig3": lambda: report.rms_vs_resampling(raw, column="rms_test_mev"),
-            "fig4": lambda: report.per_seed_traces(raw, column="rms_test_mev"),
-            "fig5": lambda: report.rms_vs_resampling(raw, column="rms_extrap_mev"),
-            "fig6": lambda: report.optimizer_comparison(raw),
-            "fig7": lambda: report.per_seed_traces(raw, column="rms_extrap_mev"),
-            "fig8": lambda: report.activation_comparison(raw),
-        }
-        if args.figure not in builders:
-            raise ConfigurationError(
-                f"unknown figure id {args.figure!r}; valid: {', '.join(report.FIGURE_IDS)}")
-        header, rows = builders[args.figure]()
+        header, rows = report.FIGURES[args.figure](
+            experiment.read_results_csv(args.results_csv))
     path = os.path.join(args.out, f"{args.figure}.csv")
     _write_csv(path, header, rows)
     print(f"wrote {path}")
@@ -369,10 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--beta1", type=float, default=0.9)
     p.add_argument("--beta2", type=float, default=0.99)
-    p.add_argument("--no-standardize", action="store_true",
-                   help="feed raw (Z, A) instead of z-scored inputs")
-    p.add_argument("--no-target-standardize", action="store_true",
-                   help="train on raw MeV targets instead of z-scored ones")
     p.add_argument("--out", required=True, help="model file (.npz)")
     p.set_defaults(func=cmd_train)
 
@@ -391,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="figure/table CSVs from sweep results")
     p.add_argument("results_csv", nargs="?",
                    help="sweep results CSV (not needed for fig2)")
-    p.add_argument("--figure", required=True)
+    p.add_argument("--figure", required=True, choices=["fig2", *report.FIGURES])
     p.add_argument("--out", default=".")
     p.add_argument("--records", help="canonical CSV, for fig2")
     p.add_argument("--nuclide", help="Z,A for fig2, e.g. 82,208")

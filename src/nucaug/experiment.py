@@ -16,14 +16,16 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
 
 from . import augment
 from .ame import DatasetSplit, NuclideRecord
-from .errors import ConfigurationError, IncompleteDataError, TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError
 from .network import NetworkSpec, TrainConfig, train
 from .optimizers import OptimizerConfig
 
@@ -70,8 +72,17 @@ class TrialSpec:
     epochs: int
     batch_size: int
     noise_seed: int = 0
-    input_standardize: bool = True
-    target_standardize: bool = True
+
+    def __post_init__(self):
+        # reject what run_trial would reject, before any trial of a sweep trains
+        NetworkSpec(hidden_widths=self.hidden_widths, activation=self.activation)
+        TrainConfig(epochs=self.epochs, batch_size=self.batch_size)
+        if self.technique not in ("none", "error", "gaussian"):
+            raise ConfigurationError(f"unknown augmentation technique {self.technique!r}")
+        if self.technique == "gaussian" and (self.k < 1 or self.noise_seed < 0):
+            raise ConfigurationError(
+                f"gaussian needs k >= 1 and noise_seed >= 0, got k={self.k}, "
+                f"noise_seed={self.noise_seed}")
 
     @property
     def arch_label(self) -> str:
@@ -82,14 +93,15 @@ class TrialSpec:
         return f"gaussian{self.k}" if self.technique == "gaussian" else self.technique
 
     def cache_key(self, data_tag: str) -> str:
+        # "std=True;tstd=True" names the z-scoring that training always does;
+        # the literal text keeps the keys of already cached trials unchanged
         parts = (f"arch={self.arch_label};act={self.activation};"
                  f"aug={self.technique};k={self.k};seed={self.seed};"
                  f"opt={self.optimizer.algorithm};lr={self.optimizer.learning_rate!r};"
                  f"b1={self.optimizer.beta1!r};b2={self.optimizer.beta2!r};"
                  f"eps={self.optimizer.epsilon!r};rho={self.optimizer.rmsprop_decay!r};"
                  f"epochs={self.epochs};batch={self.batch_size};"
-                 f"noise={self.noise_seed};std={self.input_standardize};"
-                 f"tstd={self.target_standardize};data={data_tag}")
+                 f"noise={self.noise_seed};std=True;tstd=True;data={data_tag}")
         return hashlib.sha256(parts.encode()).hexdigest()[:32]
 
 
@@ -142,9 +154,7 @@ def run_trial(spec: TrialSpec, split: DatasetSplit,
 
     net_spec = NetworkSpec(hidden_widths=spec.hidden_widths, activation=spec.activation)
     cfg = TrainConfig(epochs=spec.epochs, batch_size=spec.batch_size,
-                      init_seed=spec.seed, shuffle_seed=spec.seed,
-                      input_standardize=spec.input_standardize,
-                      target_standardize=spec.target_standardize)
+                      init_seed=spec.seed, shuffle_seed=spec.seed)
     try:
         model = train(net_spec, aug_set, cfg, spec.optimizer)
     except TrainingDivergedError as exc:
@@ -164,7 +174,7 @@ def run_trial(spec: TrialSpec, split: DatasetSplit,
 
 
 class ResultTable:
-    """Collected trial results with canonical ordering and seed aggregation."""
+    """Collected trial results with canonical ordering."""
 
     def __init__(self, trials: Iterable[TrialResult] = ()):
         self.trials = list(trials)
@@ -181,36 +191,6 @@ class ResultTable:
     def sorted_trials(self) -> list[TrialResult]:
         return sorted(self.trials, key=self._sort_key)
 
-    def group_stats(self, metric: str = "rms_test") -> dict:
-        """(arch, level, optimizer, activation) -> dict with n, mean, std.
-
-        Failed trials are excluded from the statistics but counted in
-        n_failed. std is the population standard deviation over seeds.
-        """
-        groups: dict[tuple, list[float]] = {}
-        failed: dict[tuple, int] = {}
-        for res in self.sorted_trials():
-            s = res.spec
-            key = (s.arch_label, s.level_label, s.optimizer.algorithm, s.activation)
-            groups.setdefault(key, [])
-            failed.setdefault(key, 0)
-            if not res.ok:
-                failed[key] += 1
-                continue
-            value = getattr(res, "rms_extrapolation" if metric == "rms_extrapolation"
-                            else "rms_test")
-            if value is not None:
-                groups[key].append(value)
-        out = {}
-        for key, values in groups.items():
-            out[key] = {
-                "n": len(values),
-                "n_failed": failed[key],
-                "mean": float(np.mean(values)) if values else math.nan,
-                "std": float(np.std(values)) if values else math.nan,
-            }
-        return out
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -223,34 +203,6 @@ def read_results_csv(path) -> list[dict]:
     """Raw result rows (dicts) from a persisted sweep CSV."""
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-def seed_stability(table: ResultTable, arch_label: str,
-                   levels: list[str], metric: str = "rms_test") -> dict:
-    """Per-seed rms traces and across-seed stddev for one architecture.
-
-    levels use the labels "none", "error", "gaussian<k>".
-    """
-    cells: dict[str, dict[int, float]] = {lvl: {} for lvl in levels}
-    for res in table.trials:
-        if not res.ok or res.spec.arch_label != arch_label:
-            continue
-        lvl = res.spec.level_label
-        if lvl in cells:
-            value = (res.rms_extrapolation if metric == "rms_extrapolation"
-                     else res.rms_test)
-            if value is not None:
-                cells[lvl][res.spec.seed] = value
-    seeds = sorted({res.spec.seed for res in table.trials})
-    missing = [(arch_label, lvl, s) for lvl in levels for s in seeds
-               if s not in cells[lvl]]
-    if missing:
-        raise IncompleteDataError(missing)
-    out = {}
-    for lvl in levels:
-        trace = [cells[lvl][s] for s in seeds]
-        out[lvl] = {"seeds": seeds, "trace": trace, "std": float(np.std(trace))}
-    return out
 
 
 def dataset_tag(split: DatasetSplit,
@@ -274,16 +226,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _cached_result(spec: TrialSpec, cache_dir: str, data_tag: str) -> TrialResult | None:
     path = os.path.join(cache_dir, spec.cache_key(data_tag) + ".json")
-    if not os.path.exists(path):
+    """The stored result, or None if it is missing, unreadable or partial."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        return TrialResult(spec=spec,
+                           rms_test=payload["rms_test"],
+                           rms_extrapolation=payload["rms_extrapolation"],
+                           final_train_loss=payload["final_train_loss"],
+                           status=payload["status"],
+                           wall_time=payload.get("wall_time", 0.0))
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    return TrialResult(spec=spec,
-                       rms_test=payload["rms_test"],
-                       rms_extrapolation=payload["rms_extrapolation"],
-                       final_train_loss=payload["final_train_loss"],
-                       status=payload["status"],
-                       wall_time=payload.get("wall_time", 0.0))
 
 
 def _store_result(res: TrialResult, cache_dir: str, data_tag: str) -> None:
@@ -298,19 +252,13 @@ def _store_result(res: TrialResult, cache_dir: str, data_tag: str) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _run_one(args) -> TrialResult:
-    spec, split, extrapolation = args
-    return run_trial(spec, split, extrapolation)
-
-
 def build_trial_specs(architectures, levels, seeds, optimizer: OptimizerConfig,
-                      activation: str, noise_seed: int = 0,
-                      input_standardize: bool = True,
-                      target_standardize: bool = True) -> list[TrialSpec]:
+                      activation: str, noise_seed: int = 0) -> list[TrialSpec]:
     """Cartesian product of the sweep axes.
 
     architectures: (hidden_widths, epochs, batch) triples;
-    levels: ("none"|"error"|"gaussian", k) pairs.
+    levels: ("none"|"error"|"gaussian", k) pairs. Every spec is validated
+    here, so a bad setting fails before any trial runs.
     """
     if not (architectures and levels and seeds):
         raise ConfigurationError("sweep axes must be nonempty")
@@ -321,23 +269,18 @@ def build_trial_specs(architectures, levels, seeds, optimizer: OptimizerConfig,
                 specs.append(TrialSpec(
                     hidden_widths=tuple(widths), activation=activation,
                     technique=technique, k=k, seed=seed, optimizer=optimizer,
-                    epochs=epochs, batch_size=batch, noise_seed=noise_seed,
-                    input_standardize=input_standardize,
-                    target_standardize=target_standardize))
+                    epochs=epochs, batch_size=batch, noise_seed=noise_seed))
     return specs
 
 
 def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
           activation: str, split: DatasetSplit,
           extrapolation: list[NuclideRecord] | None = None,
-          noise_seed: int = 0, input_standardize: bool = True,
-          target_standardize: bool = True,
-          cache_dir: str | None = None, jobs: int = 1,
+          noise_seed: int = 0, cache_dir: str | None = None, jobs: int = 1,
           progress=None) -> ResultTable:
     """Run (or resume) the full Cartesian sweep; results are order-independent."""
     specs = build_trial_specs(architectures, levels, seeds, optimizer,
-                              activation, noise_seed, input_standardize,
-                              target_standardize)
+                              activation, noise_seed)
     data_tag = dataset_tag(split, extrapolation)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -353,18 +296,10 @@ def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
         else:
             pending.append(spec)
 
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(_run_one,
-                                [(s, split, extrapolation) for s in pending]):
-                if cache_dir:
-                    _store_result(res, cache_dir, data_tag)
-                table.add(res)
-                if progress:
-                    progress(res, cached=False)
-    else:
-        for spec in pending:
-            res = run_trial(spec, split, extrapolation)
+    parallel = jobs > 1 and len(pending) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        for res in (pool.map if parallel else map)(
+                run_trial, pending, repeat(split), repeat(extrapolation)):
             if cache_dir:
                 _store_result(res, cache_dir, data_tag)
             table.add(res)
@@ -384,8 +319,8 @@ def _level_size(train: list[NuclideRecord], technique: str, k: int) -> int:
 
 def write_manifest(path, *, split: DatasetSplit, extrapolation, seeds, levels,
                    architectures, optimizer: OptimizerConfig, activation: str,
-                   noise_seed: int, input_standardize: bool,
-                   target_standardize: bool = True,
+                   noise_seed: int, input_standardize: bool = True,
+                   target_standardize: bool = True,  # recorded; train always z-scores
                    ame_checksums: dict | None = None) -> None:
     """Everything needed to re-run any trial of the sweep bit-exactly."""
     from . import __version__

@@ -16,12 +16,13 @@ Conventions, fixed for reproducibility:
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .augment import ORIGIN_ORIGINAL, AugmentedTrainingSet
-from .errors import ConfigurationError, TrainingDivergedError
+from .errors import ConfigurationError, DataIntegrityError, TrainingDivergedError
 from .optimizers import OptimizerConfig, init_state, optimizer_step
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
@@ -173,8 +174,6 @@ class TrainConfig:
     batch_size: int
     init_seed: int = 0
     shuffle_seed: int = 0
-    input_standardize: bool = True
-    target_standardize: bool = True
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -201,13 +200,10 @@ def train(spec: NetworkSpec, train_set: AugmentedTrainingSet,
           config: TrainConfig, opt: OptimizerConfig) -> TrainedModel:
     """Mini-batch training; fully deterministic given data, seeds and configs.
 
-    If standardization is on, inputs (Z, A) and targets are z-scored with
-    the mean/std of the ORIGINAL (pre-augmentation) rows only, and those
-    statistics travel with the model; predictions and the loss history are
-    always reported back in raw MeV. Raw-target training is available via
-    config.target_standardize = False, but with MeV-scale structure on top
-    of GeV-scale energies the constant-step optimizers plateau far above
-    the achievable error, so the scaled mode is the default.
+    Inputs (Z, A) and targets are z-scored with the mean/std of the
+    ORIGINAL (pre-augmentation) rows only, and those statistics travel with
+    the model; predictions and the loss history are always reported back in
+    raw MeV.
     """
     rows = train_set.rows
     if not rows:
@@ -218,20 +214,13 @@ def train(spec: NetworkSpec, train_set: AugmentedTrainingSet,
     orig = np.array([r.origin == ORIGIN_ORIGINAL for r in rows])
     if not orig.any():
         orig = np.ones(len(rows), dtype=bool)
-    if config.input_standardize:
-        base = X[orig]
-        mean = base.mean(axis=0)
-        std = base.std(axis=0)
-        std[std == 0.0] = 1.0
-    else:
-        mean = np.zeros(X.shape[1])
-        std = np.ones(X.shape[1])
+    base = X[orig]
+    mean = base.mean(axis=0)
+    std = base.std(axis=0)
+    std[std == 0.0] = 1.0
     Xs = (X - mean) / std
-    if config.target_standardize:
-        t_mean = float(y[orig].mean())
-        t_std = float(y[orig].std()) or 1.0
-    else:
-        t_mean, t_std = 0.0, 1.0
+    t_mean = float(y[orig].mean())
+    t_std = float(y[orig].std()) or 1.0
     ys_all = (y - t_mean) / t_std
 
     params = init_network(spec, config.init_seed)
@@ -283,18 +272,24 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta["format_version"] != MODEL_FORMAT_VERSION:
-            raise ConfigurationError(
-                f"unsupported model format version {meta['format_version']}")
-        spec = NetworkSpec(hidden_widths=tuple(meta["hidden_widths"]),
-                           activation=meta["activation"],
-                           input_dim=meta["input_dim"],
-                           output_dim=meta["output_dim"])
-        return TrainedModel(params=NetworkParams(spec, data["flat"].copy()),
-                            input_mean=data["input_mean"].copy(),
-                            input_std=data["input_std"].copy(),
-                            target_mean=float(data["target_stats"][0]),
-                            target_std=float(data["target_stats"][1]),
-                            loss_history=list(meta["loss_history"]))
+    """Read a save_model file; a file that is not one is a DataIntegrityError."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            if meta["format_version"] != MODEL_FORMAT_VERSION:
+                raise ConfigurationError(
+                    f"unsupported model format version {meta['format_version']}")
+            spec = NetworkSpec(hidden_widths=tuple(meta["hidden_widths"]),
+                               activation=meta["activation"],
+                               input_dim=meta["input_dim"],
+                               output_dim=meta["output_dim"])
+            return TrainedModel(params=NetworkParams(spec, data["flat"].copy()),
+                                input_mean=data["input_mean"].copy(),
+                                input_std=data["input_std"].copy(),
+                                target_mean=float(data["target_stats"][0]),
+                                target_std=float(data["target_stats"][1]),
+                                loss_history=list(meta["loss_history"]))
+    except ConfigurationError:
+        raise
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataIntegrityError(f"{path} is not a model file: {exc}") from None

@@ -27,8 +27,20 @@ from .errors import ConfigurationError, IncompleteDataError
 from .experiment import pct_change
 from .network import NetworkSpec, param_count
 
-FIGURE_IDS = ("table1", "table2", "table3", "fig2", "fig3", "fig4",
-              "fig5", "fig6", "fig7", "fig8")
+# figure id -> builder over results-CSV rows; fig2 takes a nuclide instead.
+# The lambdas look each function up when called, so a wrapper installed on a
+# module attribute (a profiler, a tracer) sees every export.
+FIGURES = {
+    "table1": lambda rows: table_error_augmentation(rows),
+    "table2": lambda rows: table_gaussian(rows, "rms_test_mev"),
+    "table3": lambda rows: table_gaussian(rows, "rms_extrap_mev"),
+    "fig3": lambda rows: rms_vs_resampling(rows, column="rms_test_mev"),
+    "fig4": lambda rows: per_seed_traces(rows, column="rms_test_mev"),
+    "fig5": lambda rows: rms_vs_resampling(rows, column="rms_extrap_mev"),
+    "fig6": lambda rows: optimizer_comparison(rows),
+    "fig7": lambda rows: per_seed_traces(rows, column="rms_extrap_mev"),
+    "fig8": lambda rows: activation_comparison(rows),
+}
 
 FIG3_ARCHS = ["128", "32-32", "32-16-8", "32-16-16-8"]
 STABILITY_ARCH = "32-16-8"
@@ -57,10 +69,13 @@ def _group_means(rows: list[dict], column: str) -> dict[tuple[str, str, str, str
     return {key: float(np.mean(vals)) for key, vals in acc.items()}
 
 
-def _require(means: dict, keys: list) -> None:
-    missing = [k for k in keys if k not in means]
-    if missing:
-        raise IncompleteDataError(missing)
+def _one_setting(rows: list[dict]) -> None:
+    """Reject rows from more than one (optimizer, activation) pair."""
+    pairs = sorted({(r["optimizer"], r["activation"]) for r in rows})
+    if len(pairs) > 1:
+        raise ConfigurationError(
+            "results mix (optimizer, activation) settings "
+            f"{', '.join(f'{o}/{a}' for o, a in pairs)}; report one at a time")
 
 
 def _archs_in(rows: list[dict]) -> list[str]:
@@ -73,6 +88,7 @@ def _archs_in(rows: list[dict]) -> list[str]:
 
 def table_error_augmentation(rows: list[dict]) -> tuple[list[str], list[list]]:
     """Baseline vs error-augmented mean test rms, plus percent change."""
+    _one_setting(rows)
     means = _group_means(rows, "rms_test_mev")
     header = ["arch", "n_params", "epochs", "batch",
               "rms_baseline_mev", "rms_augmented_mev", "pct_change"]
@@ -93,6 +109,7 @@ def table_error_augmentation(rows: list[dict]) -> tuple[list[str], list[list]]:
 def table_gaussian(rows: list[dict], column: str = "rms_test_mev",
                    max_k: int = 5) -> tuple[list[str], list[list]]:
     """Mean rms per architecture for k = 0 (none) .. max_k gaussian passes."""
+    _one_setting(rows)
     means = _group_means(rows, column)
     levels = ["none"] + [f"gaussian{k}" for k in range(1, max_k + 1)]
     header = ["arch"] + [f"rms_k{k}_mev" for k in range(0, max_k + 1)]
@@ -109,6 +126,7 @@ def table_gaussian(rows: list[dict], column: str = "rms_test_mev",
 def rms_vs_resampling(rows: list[dict], archs: list[str] | None = None,
                       column: str = "rms_test_mev") -> tuple[list[str], list[list]]:
     """Long-format mean rms vs resample count, for the figure curves."""
+    _one_setting(rows)
     means = _group_means(rows, column)
     archs = archs or [a for a in FIG3_ARCHS if a in _archs_in(rows)]
     header = ["arch", "resamples", "mean_rms_mev"]
@@ -128,6 +146,7 @@ def per_seed_traces(rows: list[dict], arch: str = STABILITY_ARCH,
                     levels: list[str] | None = None,
                     column: str = "rms_test_mev") -> tuple[list[str], list[list]]:
     """Per-seed rms for one architecture at a few augmentation levels."""
+    _one_setting(rows)
     levels = levels or STABILITY_LEVELS
     header = ["level", "seed", "rms_mev"]
     out = []

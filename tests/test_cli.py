@@ -1,12 +1,17 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nucaug import ame, cli
+from nucaug import ame, cli, experiment
+from nucaug.errors import ConfigurationError
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA = os.path.join(ROOT, "data")
 MASS16 = os.path.join(DATA, "mass16_synthetic.txt")
 MASS20 = os.path.join(DATA, "mass20_synthetic.txt")
 
@@ -126,6 +131,15 @@ class TestTrainEvaluate:
                           "--batch", "16", "--out", model], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("content", [b"z,a\n8,16\n", b""])
+    def test_evaluate_non_model_is_data_error(self, content, records_csv,
+                                              tmp_path, capsys):
+        model = tmp_path / "model.npz"
+        model.write_bytes(content)
+        code, _, err = run(["evaluate", str(model), records_csv], capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith("data error:") and err.count("\n") == 1
+
     def test_bad_arch_usage_error(self, records_csv, tmp_path, capsys):
         code, _, _ = run(["train", records_csv, "--arch", "8-x", "--epochs",
                           "5", "--batch", "8",
@@ -175,12 +189,99 @@ class TestSweep:
         assert stdout.count("(cached)") == 4
         assert open(os.path.join(out_dir, "results.csv")).read() == results
 
+        # a truncated cache file is a miss: only that trial runs again
+        trials = os.path.join(out_dir, "trials")
+        victim = os.path.join(trials, sorted(os.listdir(trials))[0])
+        text = open(victim).read()
+        with open(victim, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        code, stdout, _ = run(["sweep", "--config", str(config),
+                               "--out", out_dir], capsys)
+        assert code == 0
+        assert stdout.count("(cached)") == 3
+        assert open(os.path.join(out_dir, "results.csv")).read() == results
+        rewritten = json.loads(open(victim).read())
+        assert rewritten.pop("wall_time") > 0
+        assert rewritten == {k: v for k, v in json.loads(text).items()
+                             if k != "wall_time"}
+
+    def test_bad_trial_spec_fails_before_training(self, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        text = SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20)
+        config.write_text(text.replace("levels = none gaussian1",
+                                       "levels = none gaussian0"))
+        out_dir = tmp_path / "out"
+        code, _, err = run(["sweep", "--config", str(config),
+                            "--out", str(out_dir)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not list(out_dir.glob("trials/*.json"))
+
     def test_missing_config_key(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
         config.write_text(f"[data]\n" f"ame2016 = {MASS16}\n")
         code, _, err = run(["sweep", "--config", str(config),
                             "--out", str(tmp_path / "out")], capsys)
         assert code == cli.EXIT_USAGE
+
+
+class TestSweepConfig:
+    VALID = SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20)
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = open(os.path.join(ROOT, "README.md")).read()
+        block = re.search(r"^\[data\]$.*?^\[optimizer\]$[^`]*", readme,
+                          re.M | re.S).group(0)
+        config = tmp_path / "sweep.ini"
+        config.write_text(block)
+        data, split, sweep, opt = cli._load_sweep_config(str(config))
+        assert data["ame2016"] == "data/mass16_synthetic.txt"
+        assert split == {"ratio": 0.7, "seed": 5}
+        assert sweep["architectures"] == experiment.ARCH_SETTINGS
+        assert sweep["levels"] == [("none", 0), ("error", 0), ("gaussian", 1),
+                                   ("gaussian", 5)]
+        assert sweep["seeds"] == list(range(10))
+        assert opt.algorithm == "adam"
+
+    @pytest.mark.parametrize("old, new", [
+        ("levels = none gaussian1", "levels = gaussian"),
+        ("seeds = 0 1", "seeds = a..b"),
+        ("ratio = 0.7", "ratio = abc"),
+        ("[data]", "ratio = 0.7\n[data]"),
+        ("seeds = 0 1", "seeds = 0 1\nseeds = 2"),
+        ("seeds = 0 1", "seeds = 0 1\nstandardize = false"),
+        ("[optimizer]", "[optimiser]"),
+        ("algorithm = adam", "algorithm = adam\nlearning_rate = 5%"),
+        ("levels = none gaussian1", "levels = none gaussian1 x"),
+    ])
+    def test_bad_config_is_one_line_usage_error(self, old, new, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(self.VALID.replace(old, new, 1))
+        code, _, err = run(["sweep", "--config", str(config),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    LINES = st.one_of(
+        st.sampled_from(["[data]", "[split]", "[sweep]", "[optimizer]",
+                         "[DEFAULT]", "[", "  continued"]),
+        st.builds("{} = {}".format,
+                  st.sampled_from(["ame2016", "z_min", "ratio", "seed", "architectures",
+                                   "levels", "seeds", "noise_seed", "activation",
+                                   "algorithm", "beta1", "standardize"]),
+                  st.text(max_size=8)),
+        st.text(max_size=20),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(LINES, max_size=12))
+    def test_any_text_loads_or_is_usage_error(self, tmp_path_factory, lines):
+        config = tmp_path_factory.getbasetemp() / "fuzz.ini"
+        config.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            cli._load_sweep_config(str(config))
+        except ConfigurationError:
+            pass
 
 
 class TestReport:
@@ -213,6 +314,18 @@ class TestReport:
         code, _, _ = run(["report", str(results), "--figure", "fig99",
                           "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_USAGE
+
+    def test_mixed_optimizers_is_usage_error(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        header = ("arch,augmentation,k,optimizer,activation,seed,rms_test_mev,"
+                  "rms_extrap_mev,final_train_loss,epochs,batch,status\n")
+        results.write_text(header
+                           + "32-16-8,none,0,adam,relu,0,2.0,2.5,0.1,3500,64,ok\n"
+                           + "32-16-8,none,0,nadam,relu,0,3.0,3.5,0.1,3500,64,ok\n")
+        code, _, err = run(["report", str(results), "--figure", "table2",
+                            "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "adam/relu" in err and "nadam/relu" in err
 
 
 class TestTopLevel:

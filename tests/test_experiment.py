@@ -7,12 +7,11 @@ import pytest
 
 from nucaug import experiment
 from nucaug.ame import DatasetSplit, NuclideRecord
-from nucaug.errors import ConfigurationError, IncompleteDataError
+from nucaug.errors import ConfigurationError
 from nucaug.experiment import (ARCH_SETTINGS, ResultTable, TrialResult,
                                TrialSpec, build_trial_specs, dataset_tag,
                                pct_change, read_results_csv, result_row,
-                               rms_error, run_trial, seed_stability, sweep,
-                               write_manifest)
+                               rms_error, run_trial, sweep, write_manifest)
 from nucaug.optimizers import OptimizerConfig
 
 
@@ -140,23 +139,6 @@ class TestResultTable:
         assert keys == [("gaussian5", 0), ("gaussian5", 1),
                         ("none", 0), ("none", 1)]
 
-    def test_group_stats(self):
-        stats = self.make_table().group_stats()
-        none = stats[("6-4", "none", "adam", "relu")]
-        assert none["n"] == 2
-        assert none["mean"] == pytest.approx(2.5)
-        assert none["std"] == pytest.approx(0.5)
-
-    def test_group_stats_excludes_failures(self):
-        table = self.make_table()
-        table.add(TrialResult(spec=toy_spec(seed=9), rms_test=math.nan,
-                              rms_extrapolation=None, final_train_loss=math.nan,
-                              status="failed: boom"))
-        stats = table.group_stats()
-        none = stats[("6-4", "none", "adam", "relu")]
-        assert none["n"] == 2 and none["n_failed"] == 1
-        assert math.isfinite(none["mean"])
-
     def test_csv_round_trip(self, tmp_path):
         table = self.make_table()
         path = tmp_path / "results.csv"
@@ -173,27 +155,6 @@ class TestResultTable:
         slow = TrialResult(spec=toy_spec(), rms_test=1.5, rms_extrapolation=None,
                            final_train_loss=0.2, status="ok", wall_time=456.0)
         assert row_fast == result_row(slow)
-
-
-class TestSeedStability:
-    def test_std_per_level(self):
-        table = ResultTable()
-        for seed, (a, b) in enumerate([(2.0, 1.0), (3.0, 1.2), (2.5, 1.1)]):
-            for technique, k, value in (("none", 0, a), ("gaussian", 5, b)):
-                spec = toy_spec(technique=technique, k=k, seed=seed)
-                table.add(TrialResult(spec=spec, rms_test=value,
-                                      rms_extrapolation=None,
-                                      final_train_loss=0.1, status="ok"))
-        out = seed_stability(table, "6-4", ["none", "gaussian5"])
-        assert out["none"]["std"] == pytest.approx(float(np.std([2.0, 3.0, 2.5])))
-        assert out["gaussian5"]["std"] < out["none"]["std"]
-
-    def test_missing_cell_raises(self):
-        table = ResultTable([TrialResult(spec=toy_spec(seed=0), rms_test=1.0,
-                                         rms_extrapolation=None,
-                                         final_train_loss=0.1, status="ok")])
-        with pytest.raises(IncompleteDataError):
-            seed_stability(table, "6-4", ["none", "gaussian5"])
 
 
 class TestSweep:
@@ -243,6 +204,16 @@ class TestSweep:
                          activation="relu", split=split, jobs=2)
         assert [result_row(r) for r in serial.sorted_trials()] == \
             [result_row(r) for r in parallel.sorted_trials()]
+
+    @pytest.mark.parametrize("levels, activation", [
+        ([("none", 0), ("gaussian", 0)], "relu"),
+        ([("none", 0), ("mixup", 0)], "relu"),
+        ([("none", 0)], "swish"),
+    ])
+    def test_invalid_spec_rejected_up_front(self, levels, activation):
+        with pytest.raises(ConfigurationError):
+            build_trial_specs(self.AXES["architectures"], levels, [0],
+                              OptimizerConfig(), activation)
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ConfigurationError):

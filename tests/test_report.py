@@ -104,6 +104,23 @@ class TestComparisons:
         assert len(out) == 2
 
 
+class TestSettingGuard:
+    @pytest.mark.parametrize("fig_id", ["table1", "table2", "table3", "fig3",
+                                        "fig4", "fig5", "fig7"])
+    def test_mixed_settings_rejected(self, fig_id):
+        rows = result_rows()
+        rows += [{**row, "activation": "tanh"} for row in rows]
+        with pytest.raises(ConfigurationError, match="adam/relu, adam/tanh"):
+            report.FIGURES[fig_id](rows)
+
+    @pytest.mark.parametrize("fig_id", ["fig6", "fig8"])
+    def test_comparisons_span_settings(self, fig_id):
+        rows = result_rows()
+        rows += [{**row, "optimizer": "nadam", "activation": "tanh"} for row in rows]
+        _, out = report.FIGURES[fig_id](rows)
+        assert len({r[0] for r in out}) == 2
+
+
 class TestGaussianIllustration:
     RECORD = NuclideRecord(z=82, n=126, a=208, be_total=1636.43022,
                            be_err=0.00125, estimated=False)
