@@ -5,8 +5,12 @@ Two techniques, both leaving (Z, A) untouched:
 * error resampling: each nucleus with a nonzero uncertainty contributes its
   measured energy plus the two values shifted by +/- one sigma;
 * cumulative Gaussian resampling: k full passes of draws from
-  Normal(be_total, be_err) are appended after the originals, so the row list
-  for k-1 passes is a prefix of the list for k passes under the same seed.
+  Normal(be_total, be_err) are appended after the originals, so the rows
+  for k-1 passes are a prefix of the rows for k passes under the same seed.
+
+A training set's rows are one numpy structured array (ROW_DTYPE) with the
+fields z, a, energy (MeV) and origin ("original", "err_plus", "err_minus"
+or "gauss_<i>").
 
 Randomness is counter-based (Philox) and keyed by
 (noise_seed, resample_index, nucleus_index), so every draw is addressable and
@@ -34,17 +38,26 @@ def origin_gauss(resample_index: int) -> str:
     return f"gauss_{resample_index}"
 
 
-@dataclass(frozen=True)
-class TrainingRow:
-    z: int
-    a: int
-    energy: float  # MeV
-    origin: str    # "original", "err_plus", "err_minus" or "gauss_<i>"
+# origin is an object field, so all rows of a tag share one string; a
+# fixed-width unicode field would copy the tag into every row
+ROW_DTYPE = np.dtype([("z", np.int64), ("a", np.int64), ("energy", np.float64),
+                      ("origin", object)])
+
+
+def _rows(z, a, energy, origin) -> np.ndarray:
+    rows = np.empty(len(energy), dtype=ROW_DTYPE)
+    rows["z"], rows["a"], rows["energy"], rows["origin"] = z, a, energy, origin
+    return rows
+
+
+def _originals(train: list[NuclideRecord]) -> np.ndarray:
+    return _rows([r.z for r in train], [r.a for r in train],
+                 [r.be_total for r in train], ORIGIN_ORIGINAL)
 
 
 @dataclass(frozen=True)
 class AugmentedTrainingSet:
-    rows: list[TrainingRow]
+    rows: np.ndarray        # ROW_DTYPE
     base_size: int
     technique: str          # "none", "error" or "gaussian"
     k: int = 0              # resample count, gaussian only
@@ -53,8 +66,8 @@ class AugmentedTrainingSet:
 
 def identity_set(train: list[NuclideRecord]) -> AugmentedTrainingSet:
     """The un-augmented training set (technique "none")."""
-    rows = [TrainingRow(r.z, r.a, r.be_total, ORIGIN_ORIGINAL) for r in train]
-    return AugmentedTrainingSet(rows=rows, base_size=len(rows), technique="none")
+    return AugmentedTrainingSet(rows=_originals(train), base_size=len(train),
+                                technique="none")
 
 
 def error_resample(train: list[NuclideRecord]) -> AugmentedTrainingSet:
@@ -67,11 +80,15 @@ def error_resample(train: list[NuclideRecord]) -> AugmentedTrainingSet:
     """
     if not train:
         raise ConfigurationError("error_resample requires a nonempty training set")
-    rows = [TrainingRow(r.z, r.a, r.be_total, ORIGIN_ORIGINAL) for r in train]
-    rows += [TrainingRow(r.z, r.a, r.be_total + r.be_err, ORIGIN_ERR_PLUS)
-             for r in train if r.be_err > 0]
-    rows += [TrainingRow(r.z, r.a, r.be_total - r.be_err, ORIGIN_ERR_MINUS)
-             for r in train if r.be_err > 0]
+    base = _originals(train)
+    err = np.array([r.be_err for r in train])
+    shifted = err > 0
+    plus, minus = base[shifted], base[shifted]
+    plus["energy"] += err[shifted]
+    plus["origin"] = ORIGIN_ERR_PLUS
+    minus["energy"] -= err[shifted]
+    minus["origin"] = ORIGIN_ERR_MINUS
+    rows = np.concatenate([base, plus, minus])
     return AugmentedTrainingSet(rows=rows, base_size=len(train), technique="error")
 
 
@@ -108,12 +125,12 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
         raise ConfigurationError(f"noise_seed must be >= 0, got {noise_seed}")
     if not train:
         raise ConfigurationError("gaussian_resample requires a nonempty training set")
-    rows = [TrainingRow(r.z, r.a, r.be_total, ORIGIN_ORIGINAL) for r in train]
+    n = len(train)
+    rows = np.tile(_originals(train), 1 + k)
+    rows["energy"][n:] = [gaussian_draw(rec.be_total, rec.be_err, _stream(noise_seed, r_idx, i))
+                          for r_idx in range(1, k + 1) for i, rec in enumerate(train)]
     for r_idx in range(1, k + 1):
-        tag = origin_gauss(r_idx)
-        for i, rec in enumerate(train):
-            energy = gaussian_draw(rec.be_total, rec.be_err, _stream(noise_seed, r_idx, i))
-            rows.append(TrainingRow(rec.z, rec.a, energy, tag))
+        rows["origin"][r_idx * n:(r_idx + 1) * n] = origin_gauss(r_idx)
     return AugmentedTrainingSet(rows=rows, base_size=len(train),
                                 technique="gaussian", k=k, noise_seed=noise_seed)
 
@@ -140,9 +157,9 @@ def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(AUGMENTED_CSV_COLUMNS)
-        for row in aug.rows:
-            w.writerow([row.z, row.a - row.z, row.a, repr(row.energy),
-                        repr(err[(row.z, row.a)]), 0, row.origin])
+        # tolist() yields Python scalars, whose repr is the plain number
+        for z, a, energy, origin in aug.rows.tolist():
+            w.writerow([z, a - z, a, repr(energy), repr(err[(z, a)]), 0, origin])
     manifest = {
         "technique": aug.technique,
         "k": aug.k,
@@ -156,10 +173,9 @@ def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], 
 
 def read_augmented_csv(path) -> AugmentedTrainingSet:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = [TrainingRow(z=int(r["z"]), a=int(r["a"]),
-                            energy=float(r["be_total_mev"]), origin=r["origin"])
-                for r in reader]
+        lines = list(csv.DictReader(fh))
+    rows = _rows([int(r["z"]) for r in lines], [int(r["a"]) for r in lines],
+                 [float(r["be_total_mev"]) for r in lines], [r["origin"] for r in lines])
     try:
         with open(str(path) + ".manifest.json") as fh:
             manifest = json.load(fh)

@@ -264,8 +264,8 @@ def cmd_sweep(args) -> int:
         sweep_cfg["architectures"], sweep_cfg["levels"], sweep_cfg["seeds"],
         opt, sweep_cfg["activation"], split, extrapolation,
         noise_seed=sweep_cfg["noise_seed"],
-        cache_dir=os.path.join(args.out, "trials"), jobs=args.jobs,
-        progress=progress)
+        cache_dir=os.path.join(args.out, "trials"),
+        jobs=len(os.sched_getaffinity(0)), progress=progress)
 
     table.write_csv(os.path.join(args.out, "results.csv"))
     experiment.write_manifest(
@@ -373,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run (or resume) a configured sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="figure/table CSVs from sweep results")

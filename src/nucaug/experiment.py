@@ -15,10 +15,9 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -136,7 +135,7 @@ def result_row(res: TrialResult) -> list:
 
 def _leak_check(aug_set: augment.AugmentedTrainingSet,
                 held_out: Iterable[NuclideRecord]) -> None:
-    train_keys = {(row.z, row.a) for row in aug_set.rows}
+    train_keys = set(zip(aug_set.rows["z"].tolist(), aug_set.rows["a"].tolist()))
     leaked = [r.key for r in held_out if r.key in train_keys]
     if leaked:
         raise ConfigurationError(f"held-out nuclei appear in training rows: {leaked[:5]}")
@@ -225,8 +224,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _cached_result(spec: TrialSpec, cache_dir: str, data_tag: str) -> TrialResult | None:
-    path = os.path.join(cache_dir, spec.cache_key(data_tag) + ".json")
     """The stored result, or None if it is missing, unreadable or partial."""
+    path = os.path.join(cache_dir, spec.cache_key(data_tag) + ".json")
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -278,7 +277,11 @@ def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
           extrapolation: list[NuclideRecord] | None = None,
           noise_seed: int = 0, cache_dir: str | None = None, jobs: int = 1,
           progress=None) -> ResultTable:
-    """Run (or resume) the full Cartesian sweep; results are order-independent."""
+    """Run (or resume) the full Cartesian sweep; results are order-independent.
+
+    Pending trials run in min(jobs, pending) worker processes, and each is
+    cached as soon as it finishes, whatever the order it was submitted in.
+    """
     specs = build_trial_specs(architectures, levels, seeds, optimizer,
                               activation, noise_seed)
     data_tag = dataset_tag(split, extrapolation)
@@ -296,10 +299,14 @@ def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
         else:
             pending.append(spec)
 
-    parallel = jobs > 1 and len(pending) > 1
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
-        for res in (pool.map if parallel else map)(
-                run_trial, pending, repeat(split), repeat(extrapolation)):
+    workers = min(jobs, len(pending))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        if pool:
+            futures = [pool.submit(run_trial, spec, split, extrapolation) for spec in pending]
+            results = (future.result() for future in as_completed(futures))
+        else:
+            results = (run_trial(spec, split, extrapolation) for spec in pending)
+        for res in results:
             if cache_dir:
                 _store_result(res, cache_dir, data_tag)
             table.add(res)

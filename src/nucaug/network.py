@@ -206,12 +206,12 @@ def train(spec: NetworkSpec, train_set: AugmentedTrainingSet,
     raw MeV.
     """
     rows = train_set.rows
-    if not rows:
+    if not len(rows):
         raise ConfigurationError("training set is empty")
-    X = np.array([[r.z, r.a] for r in rows], dtype=np.float64)
-    y = np.array([r.energy for r in rows], dtype=np.float64)
+    X = np.column_stack([rows["z"], rows["a"]]).astype(np.float64)
+    y = rows["energy"]
 
-    orig = np.array([r.origin == ORIGIN_ORIGINAL for r in rows])
+    orig = rows["origin"] == ORIGIN_ORIGINAL
     if not orig.any():
         orig = np.ones(len(rows), dtype=bool)
     base = X[orig]

@@ -200,7 +200,7 @@ def gaussian_illustration(record: NuclideRecord, k: int,
     header = ["z", "a", "resample", "energy_mev", "mu_mev", "sigma_mev"]
     out = [[record.z, record.a, 0, repr(record.be_total),
             repr(record.be_total), repr(record.be_err)]]
-    for i, row in enumerate(aug.rows[1:], start=1):
-        out.append([row.z, row.a, i, repr(row.energy),
+    for i, energy in enumerate(aug.rows["energy"][1:].tolist(), start=1):
+        out.append([record.z, record.a, i, repr(energy),
                     repr(record.be_total), repr(record.be_err)])
     return header, out

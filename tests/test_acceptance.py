@@ -1,8 +1,9 @@
 """Acceptance gate for the full study pipeline.
 
 Criteria 1-6 are self-contained oracles and run in seconds. Criteria 7-10
-evaluate the persisted headline sweep in results/ (produced by
-scripts/run_acceptance_sweep.py); its manifest's dataset tag is checked
+evaluate the persisted headline sweep in results/ (produced, from the
+repository root, by `nucaug sweep --config configs/headline.ini --out
+results`); its manifest's dataset tag is checked
 against the shipped data files, its grid must be the headline one, and the
 CSV must hold exactly one ok row per trial of that grid, so stale, smaller or
 partial results fail loudly instead of silently passing. Criterion 11 re-runs one full trial and compares the
@@ -13,12 +14,13 @@ import csv
 import json
 import math
 import os
+import shutil
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from nucaug import ame
+from nucaug import ame, cli
 from nucaug.augment import error_resample, gaussian_resample
 from nucaug.experiment import (ARCH_SETTINGS, ResultTable, TrialResult,
                                TrialSpec, build_trial_specs, dataset_tag,
@@ -28,7 +30,9 @@ from nucaug.network import (NetworkParams, NetworkSpec, backward, forward,
                             loss_mse, param_count)
 from nucaug.optimizers import OptimizerConfig, init_state, optimizer_step
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+RESULTS_DIR = os.path.join(ROOT, "results")
+HEADLINE_COMMAND = "nucaug sweep --config configs/headline.ini --out results"
 
 TABLE1_PARAM_COUNTS = [513, 1185, 1249, 1425, 769, 1377, 801, 1041, 1497, 1409]
 
@@ -79,7 +83,7 @@ class TestCriterion4WorkedExample:
     def test_pb208_triplication(self):
         pb208 = ame.NuclideRecord(z=82, n=126, a=208, be_total=1636.43022,
                                   be_err=0.00125, estimated=False)
-        got = [row.energy for row in error_resample([pb208]).rows]
+        got = error_resample([pb208]).rows["energy"].tolist()
         expected = [1636.43022, 1636.43147, 1636.42897]
         ok = len(got) == 3 and all(abs(g - e) < 1e-9
                                    for g, e in zip(got, expected))
@@ -149,7 +153,7 @@ def sweep_rows(split, extrapolation):
     results_csv = os.path.join(RESULTS_DIR, "results.csv")
     manifest_json = os.path.join(RESULTS_DIR, "manifest.json")
     if not (os.path.exists(results_csv) and os.path.exists(manifest_json)):
-        pytest.fail("results/ missing; run scripts/run_acceptance_sweep.py "
+        pytest.fail(f"results/ missing; run `{HEADLINE_COMMAND}` "
                     "to (re)generate the headline sweep")
     with open(manifest_json) as fh:
         manifest = json.load(fh)
@@ -157,16 +161,16 @@ def sweep_rows(split, extrapolation):
     if manifest["dataset_tag"] != tag:
         pytest.fail(f"results/manifest.json dataset tag {manifest['dataset_tag']}"
                     f" does not match the shipped data files ({tag}); re-run "
-                    "scripts/run_acceptance_sweep.py")
+                    f"`{HEADLINE_COMMAND}`")
     problem = headline_grid_problem(manifest)
     if problem:
         pytest.fail(f"results/manifest.json is not the headline sweep ({problem});"
-                    " re-run scripts/run_acceptance_sweep.py")
+                    f" re-run `{HEADLINE_COMMAND}`")
     rows = read_results_csv(results_csv)
     problem = sweep_coverage_problem(rows, manifest)
     if problem:
         pytest.fail(f"results/results.csv is not the full sweep of its manifest "
-                    f"({problem}); re-run scripts/run_acceptance_sweep.py")
+                    f"({problem}); re-run `{HEADLINE_COMMAND}`")
     return rows
 
 
@@ -292,6 +296,28 @@ class TestSweepCoverageCheck:
         assert headline_grid_problem(
             manifest(ARCH_SETTINGS, [("none", 0), ("gaussian", 2)], range(10))
         ) == "levels differ from the headline grid"
+
+
+class TestHeadlineConfig:
+    def test_config_resumes_the_committed_sweep(self, tmp_path, monkeypatch, capsys):
+        # resumed from a copy of the committed trials, the committed config
+        # rewrites every committed file of results/ byte for byte, untrained
+        out = tmp_path / "results"
+        shutil.copytree(os.path.join(RESULTS_DIR, "trials"), out / "trials")
+        monkeypatch.chdir(ROOT)
+        code = cli.main(["sweep", "--config", "configs/headline.ini", "--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        assert code == 0, stderr
+        assert stdout.count("(cached)") == 200
+        written = sorted(p.name for p in out.iterdir() if p.is_file())
+        committed = sorted(name for name in os.listdir(RESULTS_DIR)
+                           if os.path.isfile(os.path.join(RESULTS_DIR, name)))
+        assert {"results.csv", "manifest.json"} <= set(written)
+        assert written == committed
+        for name in written:
+            with open(out / name, "rb") as fresh, \
+                    open(os.path.join(RESULTS_DIR, name), "rb") as kept:
+                assert fresh.read() == kept.read(), name
 
 
 ARCH_LABELS = ["-".join(str(w) for w in widths) for widths, _, _ in ARCH_SETTINGS]

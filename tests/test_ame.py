@@ -1,10 +1,12 @@
+import contextlib
+import io
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucaug import ame
+from nucaug import ame, cli
 from nucaug.errors import ConfigurationError, DataIntegrityError, MassTableParseError
 
 
@@ -76,6 +78,60 @@ class TestParsing:
     def test_bytes_and_str_inputs_agree(self, mass16_text, records16):
         assert ame.parse_mass_table(mass16_text.decode("ascii"),
                                     "AME2016") == records16
+
+
+def loads(content, edition) -> bool:
+    """True if the table parses, False if it is rejected with one of the
+    package's input errors; any other exception fails the calling test."""
+    try:
+        ame.parse_mass_table(content, edition)
+    except (MassTableParseError, DataIntegrityError, ConfigurationError):
+        return False
+    return True
+
+
+EDITIONS = st.sampled_from(sorted(ame.LAYOUTS))
+FIELD_TEXT = st.one_of(st.text(alphabet="0123456789 .#-+eEinfa_", max_size=12),
+                       st.text(max_size=12))
+
+
+class TestParserFuzz:
+    @given(edition=EDITIONS, after_header=st.booleans(), content=st.binary(max_size=400))
+    @settings(max_examples=100, deadline=None)
+    def test_any_bytes(self, edition, after_header, content):
+        header = b"\n" * ame.LAYOUTS[edition].header_lines if after_header else b""
+        loads(header + content, edition)
+
+    @given(edition=EDITIONS, after_header=st.booleans(), content=st.text(max_size=400))
+    @settings(max_examples=100, deadline=None)
+    def test_any_str(self, edition, after_header, content):
+        header = "\n" * ame.LAYOUTS[edition].header_lines if after_header else ""
+        loads(header + content, edition)
+
+    @given(edition=EDITIONS, line=st.integers(0, 39), start=st.integers(0, 100),
+           cut=st.integers(0, 12), junk=FIELD_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_record_line(self, mass16_text, mass20_text, tmp_path_factory,
+                                   edition, line, start, cut, junk):
+        # header plus 40 real records, one of them spliced: junk replaces
+        # `cut` characters at `start`
+        text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
+        skip = ame.LAYOUTS[edition].header_lines
+        lines = text.decode("ascii").splitlines()[:skip + 40]
+        lines[skip + line] = lines[skip + line][:start] + junk + lines[skip + line][start + cut:]
+        corrupt = "\n".join(lines)
+        loads(corrupt, edition)
+
+        path = tmp_path_factory.getbasetemp() / "corrupt_mass.txt"
+        path.write_bytes(corrupt.encode("utf-8"))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["ingest", str(path), "--edition", edition])
+        if loads(path.read_bytes(), edition):
+            assert code == cli.EXIT_OK
+        else:
+            assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
+            assert stderr.getvalue().count("\n") == 1
 
 
 class TestFilterAndDiff:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ def toy_spec(**overrides):
                 batch_size=8)
     base.update(overrides)
     return TrialSpec(**base)
+
+
+def sleepy_trial(spec, split, extrapolation=None):
+    """Stand-in for run_trial (module level, so a worker can unpickle it):
+    seed 0 takes a second, every other seed returns at once."""
+    time.sleep(1.0 if spec.seed == 0 else 0.0)
+    return TrialResult(spec=spec, rms_test=1.0, rms_extrapolation=None,
+                       final_train_loss=0.5, status="ok")
 
 
 class TestMetrics:
@@ -204,6 +213,25 @@ class TestSweep:
                          activation="relu", split=split, jobs=2)
         assert [result_row(r) for r in serial.sorted_trials()] == \
             [result_row(r) for r in parallel.sorted_trials()]
+
+    def test_trial_cached_when_it_finishes(self, tmp_path, monkeypatch):
+        # seed 0 is submitted first but finishes last; seed 1 must not wait for it
+        monkeypatch.setattr(experiment, "run_trial", sleepy_trial)
+        split = toy_split()
+        cache = str(tmp_path / "trials")
+        fast = os.path.join(cache, toy_spec(seed=1).cache_key(dataset_tag(split)) + ".json")
+        order, fast_cached = [], []
+
+        def progress(res, cached):
+            order.append(res.spec.seed)
+            if res.spec.seed == 0:
+                fast_cached.append(os.path.exists(fast))
+
+        sweep(architectures=[((6, 4), 40, 8)], levels=[("none", 0)], seeds=[0, 1],
+              optimizer=OptimizerConfig(), activation="relu", split=split,
+              cache_dir=cache, jobs=2, progress=progress)
+        assert order == [1, 0]
+        assert fast_cached == [True]
 
     @pytest.mark.parametrize("levels, activation", [
         ([("none", 0), ("gaussian", 0)], "relu"),

@@ -216,7 +216,7 @@ class TestTraining:
         spec = NetworkSpec((2,))
         model = train(spec, self.small_set(),
                       TrainConfig(epochs=1, batch_size=40), OptimizerConfig())
-        y = np.array([r.energy for r in self.small_set().rows])
+        y = self.small_set().rows["energy"]
         assert 0.3 * y.var() < model.loss_history[0] < 3.0 * y.var()
 
     def test_predict_shape_and_scale(self):
@@ -229,8 +229,9 @@ class TestTraining:
         assert np.sqrt(np.mean((pred - truth) ** 2)) < 0.1 * truth.std()
 
     def test_empty_training_set_rejected(self):
-        from nucaug.augment import AugmentedTrainingSet
-        empty = AugmentedTrainingSet(rows=[], base_size=0, technique="none")
+        from nucaug.augment import ROW_DTYPE, AugmentedTrainingSet
+        empty = AugmentedTrainingSet(rows=np.empty(0, dtype=ROW_DTYPE), base_size=0,
+                                     technique="none")
         with pytest.raises(ConfigurationError):
             train(NetworkSpec((4,)), empty,
                   TrainConfig(epochs=1, batch_size=4), OptimizerConfig())

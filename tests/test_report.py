@@ -129,7 +129,7 @@ class TestGaussianIllustration:
         header, out = report.gaussian_illustration(self.RECORD, 3, noise_seed=4)
         aug = gaussian_resample([self.RECORD], 3, noise_seed=4)
         assert len(out) == 4
-        assert [float(r[3]) for r in out] == [row.energy for row in aug.rows]
+        assert [float(r[3]) for r in out] == aug.rows["energy"].tolist()
         assert out[0][3] == repr(self.RECORD.be_total)
 
     def test_k_validated(self):
