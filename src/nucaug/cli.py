@@ -265,7 +265,7 @@ def cmd_sweep(args) -> int:
         opt, sweep_cfg["activation"], split, extrapolation,
         noise_seed=sweep_cfg["noise_seed"],
         cache_dir=os.path.join(args.out, "trials"),
-        jobs=len(os.sched_getaffinity(0)), progress=progress)
+        jobs=_usable_cpus(), progress=progress)
 
     table.write_csv(os.path.join(args.out, "results.csv"))
     experiment.write_manifest(
@@ -279,6 +279,15 @@ def cmd_sweep(args) -> int:
     n_failed = sum(1 for t in table.trials if not t.ok)
     print(f"completed {len(table.trials)} trials, {n_failed} failed")
     return EXIT_TRIAL_FAILURES if n_failed else EXIT_OK
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of the host's where the OS cannot say."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):  # Linux and some other Unix systems
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _export_figures(results_csv, out_dir) -> list[str]:

@@ -281,6 +281,8 @@ def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
 
     Pending trials run in min(jobs, pending) worker processes, and each is
     cached as soon as it finishes, whatever the order it was submitted in.
+    If the result loop stops early (an interrupt, or an error from progress),
+    the trials not yet started are cancelled rather than run and discarded.
     """
     specs = build_trial_specs(architectures, levels, seeds, optimizer,
                               activation, noise_seed)
@@ -306,12 +308,16 @@ def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
             results = (future.result() for future in as_completed(futures))
         else:
             results = (run_trial(spec, split, extrapolation) for spec in pending)
-        for res in results:
-            if cache_dir:
-                _store_result(res, cache_dir, data_tag)
-            table.add(res)
-            if progress:
-                progress(res, cached=False)
+        try:
+            for res in results:
+                if cache_dir:
+                    _store_result(res, cache_dir, data_tag)
+                table.add(res)
+                if progress:
+                    progress(res, cached=False)
+        finally:
+            if pool:
+                pool.shutdown(cancel_futures=True)
     return table
 
 

@@ -225,6 +225,21 @@ class TestSweep:
         assert code == cli.EXIT_USAGE
 
 
+class TestUsableCpus:
+    def test_falls_back_where_the_os_cannot_say(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
+
+    def test_affinity_where_available(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+        assert cli._usable_cpus() == 2
+
+
 class TestSweepConfig:
     VALID = SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20)
 

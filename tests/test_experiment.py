@@ -41,12 +41,29 @@ def toy_spec(**overrides):
     return TrialSpec(**base)
 
 
-def sleepy_trial(spec, split, extrapolation=None):
-    """Stand-in for run_trial (module level, so a worker can unpickle it):
-    seed 0 takes a second, every other seed returns at once."""
-    time.sleep(1.0 if spec.seed == 0 else 0.0)
+def fake_result(spec):
     return TrialResult(spec=spec, rms_test=1.0, rms_extrapolation=None,
                        final_train_loss=0.5, status="ok")
+
+
+def waiting_trial(spec, split, extrapolation=None):
+    """Stand-in for run_trial (module level, so a worker can unpickle it):
+    seed 0 returns only once the file named by NUCAUG_TEST_WAIT_FOR exists
+    (or after 60 s); every other seed returns at once."""
+    if spec.seed == 0:
+        deadline = time.monotonic() + 60.0
+        while (not os.path.exists(os.environ["NUCAUG_TEST_WAIT_FOR"])
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+    return fake_result(spec)
+
+
+def slow_trial(spec, split, extrapolation=None):
+    """Stand-in for run_trial: marks its start with a file in the directory
+    NUCAUG_TEST_STARTED, then takes a fifth of a second."""
+    open(os.path.join(os.environ["NUCAUG_TEST_STARTED"], str(spec.seed)), "w").close()
+    time.sleep(0.2)
+    return fake_result(spec)
 
 
 class TestMetrics:
@@ -215,11 +232,12 @@ class TestSweep:
             [result_row(r) for r in parallel.sorted_trials()]
 
     def test_trial_cached_when_it_finishes(self, tmp_path, monkeypatch):
-        # seed 0 is submitted first but finishes last; seed 1 must not wait for it
-        monkeypatch.setattr(experiment, "run_trial", sleepy_trial)
+        # seed 0 is submitted first but cannot finish until seed 1 is cached
+        monkeypatch.setattr(experiment, "run_trial", waiting_trial)
         split = toy_split()
         cache = str(tmp_path / "trials")
         fast = os.path.join(cache, toy_spec(seed=1).cache_key(dataset_tag(split)) + ".json")
+        monkeypatch.setenv("NUCAUG_TEST_WAIT_FOR", fast)
         order, fast_cached = [], []
 
         def progress(res, cached):
@@ -232,6 +250,26 @@ class TestSweep:
               cache_dir=cache, jobs=2, progress=progress)
         assert order == [1, 0]
         assert fast_cached == [True]
+
+    def test_pending_trials_cancelled_when_loop_stops(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "run_trial", slow_trial)
+        started = tmp_path / "started"
+        started.mkdir()
+        monkeypatch.setenv("NUCAUG_TEST_STARTED", str(started))
+        cache = tmp_path / "trials"
+        seeds = list(range(40))
+
+        def progress(res, cached):
+            raise BrokenPipeError("stdout closed")
+
+        with pytest.raises(BrokenPipeError):
+            sweep(architectures=[((6, 4), 40, 8)], levels=[("none", 0)],
+                  seeds=seeds, optimizer=OptimizerConfig(), activation="relu",
+                  split=toy_split(), cache_dir=str(cache), jobs=2,
+                  progress=progress)
+        # only the trials already handed to a worker ran; the rest were dropped
+        assert len(os.listdir(started)) < len(seeds) // 2
+        assert len(os.listdir(cache)) == 1
 
     @pytest.mark.parametrize("levels, activation", [
         ([("none", 0), ("gaussian", 0)], "relu"),
