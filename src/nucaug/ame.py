@@ -101,14 +101,23 @@ def _int_field(line: str, col: tuple[int, int], line_no: int, name: str) -> int:
         raise MassTableParseError(line_no, f"non-numeric {name} field {text!r}") from None
 
 
-def _float_field(line: str, col: tuple[int, int], line_no: int, name: str) -> tuple[float, bool]:
-    """Parse a value field; ``#`` in place of the decimal point marks an estimate."""
+def _energy_field(line: str, col: tuple[int, int], line_no: int, name: str,
+                  a: int) -> tuple[float, bool]:
+    """Parse a per-nucleon keV field into a total in MeV (times A / 1000).
+
+    ``#`` in place of the decimal point marks an estimate. ``float`` also
+    reads nan and inf, and a huge value overflows once scaled by A, so a
+    result that is not finite is rejected like a non-numeric one.
+    """
     text = line[col[0]:col[1]].strip()
     estimated = "#" in text
     try:
-        return float(text.replace("#", ".")), estimated
+        value = float(text.replace("#", ".")) * a / 1000.0
     except ValueError:
         raise MassTableParseError(line_no, f"non-numeric {name} field {text!r}") from None
+    if not math.isfinite(value):
+        raise MassTableParseError(line_no, f"{name} field {text!r} is not a finite energy")
+    return value, estimated
 
 
 def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
@@ -136,14 +145,10 @@ def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
         n = _int_field(line, layout.col_n, line_no, "N")
         z = _int_field(line, layout.col_z, line_no, "Z")
         a = _int_field(line, layout.col_a, line_no, "A")
-        bea, est1 = _float_field(line, layout.col_bea, line_no, "BE/A")
-        bea_err, est2 = _float_field(line, layout.col_bea_err, line_no, "BE/A uncertainty")
-        records.append(NuclideRecord(
-            z=z, n=n, a=a,
-            be_total=bea * a / 1000.0,
-            be_err=bea_err * a / 1000.0,
-            estimated=est1 or est2,
-        ))
+        be_total, est1 = _energy_field(line, layout.col_bea, line_no, "BE/A", a)
+        be_err, est2 = _energy_field(line, layout.col_bea_err, line_no, "BE/A uncertainty", a)
+        records.append(NuclideRecord(z=z, n=n, a=a, be_total=be_total, be_err=be_err,
+                                     estimated=est1 or est2))
     return records
 
 

@@ -127,10 +127,20 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
         raise ConfigurationError("gaussian_resample requires a nonempty training set")
     n = len(train)
     rows = np.tile(_originals(train), 1 + k)
-    rows["energy"][n:] = [gaussian_draw(rec.be_total, rec.be_err, _stream(noise_seed, r_idx, i))
-                          for r_idx in range(1, k + 1) for i, rec in enumerate(train)]
+    # One generator, re-keyed per cell: (r, i) only changes the key, and every
+    # stream starts at counter 0 with an empty buffer. Gives the draws of a
+    # fresh _stream(noise_seed, r, i) without building k * n generators.
+    rng = _stream(noise_seed, 0, 0)
+    start = rng.bit_generator.state
+    key = start["state"]["key"]
+    draws = []
     for r_idx in range(1, k + 1):
         rows["origin"][r_idx * n:(r_idx + 1) * n] = origin_gauss(r_idx)
+        for i, rec in enumerate(train):
+            key[1] = (r_idx << 32) | i
+            rng.bit_generator.state = start
+            draws.append(gaussian_draw(rec.be_total, rec.be_err, rng))
+    rows["energy"][n:] = draws
     return AugmentedTrainingSet(rows=rows, base_size=len(train),
                                 technique="gaussian", k=k, noise_seed=noise_seed)
 

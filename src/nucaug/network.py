@@ -93,20 +93,23 @@ def init_network(spec: NetworkSpec, init_seed: int) -> NetworkParams:
 
 
 def _activate(name: str, a: np.ndarray) -> np.ndarray:
+    """Activation of the pre-activation a; relu overwrites a in place."""
     if name == "relu":
-        return np.maximum(a, 0.0)
+        return np.maximum(a, 0.0, out=a)
     if name == "tanh":
         return np.tanh(a)
     return 1.0 / (1.0 + np.exp(-a))  # sigmoid
 
 
-def _activate_grad_from_output(name: str, h: np.ndarray) -> np.ndarray:
+def _scale_by_activation_grad(name: str, delta: np.ndarray, h: np.ndarray) -> None:
+    """delta *= the activation's derivative, in place, from its output h."""
     # all three derivatives are expressible from the activation output
     if name == "relu":
-        return (h > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - h * h
-    return h * (1.0 - h)
+        delta *= h > 0.0
+    elif name == "tanh":
+        delta *= 1.0 - h * h
+    else:
+        delta *= h * (1.0 - h)
 
 
 def forward(params: NetworkParams, X: np.ndarray) -> np.ndarray:
@@ -119,7 +122,8 @@ def forward(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     h = X
     last = len(params.weights) - 1
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ W + b
+        h = np.dot(h, W)
+        h += b
         if i < last:
             h = _activate(act, h)
     return h[:, 0]
@@ -144,27 +148,34 @@ def backward(params: NetworkParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _forward_backward(params: NetworkParams, grad: NetworkParams,
                       X: np.ndarray, y: np.ndarray) -> float:
-    """Fill grad's views with the batch-mean MSE gradient; return the loss."""
+    """Fill grad's views with the batch-mean MSE gradient; return the loss.
+
+    This runs once per optimizer step, so it keeps numpy calls few and cheap:
+    np.dot rather than the matmul gufunc (same bits, less dispatch; for the
+    output layer's (B, 1) x (1, fan_in) product matmul has no BLAS path at
+    all), and in-place bias adds, ReLU and derivative products.
+    """
     act = params.spec.activation
     last = len(params.weights) - 1
     h = X
     hs = [X]
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ W + b
+        h = np.dot(h, W)
+        h += b
         if i < last:
             h = _activate(act, h)
         hs.append(h)
-    pred = hs[-1][:, 0]
-    diff = pred - y
-    loss = float(diff @ diff) / diff.size
+    diff = h[:, 0] - y
+    loss = float(np.dot(diff, diff)) / diff.size
 
     # delta holds dL/d(pre-activation of layer i) while walking backwards
     delta = (2.0 / diff.size) * diff[:, None]
     for i in range(last, -1, -1):
-        grad.weights[i][...] = hs[i].T @ delta
-        grad.biases[i][...] = delta.sum(axis=0)
+        np.dot(hs[i].T, delta, out=grad.weights[i])
+        np.add.reduce(delta, axis=0, out=grad.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * _activate_grad_from_output(act, hs[i])
+            delta = np.dot(delta, params.weights[i].T)
+            _scale_by_activation_grad(act, delta, hs[i])
     return loss
 
 

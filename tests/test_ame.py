@@ -75,18 +75,48 @@ class TestParsing:
         with pytest.raises(MassTableParseError):
             ame.parse_mass_table(bad, "AME2016")
 
+    @pytest.mark.parametrize("edition", sorted(ame.LAYOUTS))
+    @pytest.mark.parametrize("field", ["col_bea", "col_bea_err"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_value_rejected(self, mass16_text, mass20_text, tmp_path,
+                                       edition, field, value):
+        # float() reads nan and inf, and 1e308 keV per nucleon overflows
+        # once multiplied by A (3 here); none of them may load as a record
+        layout = ame.LAYOUTS[edition]
+        text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
+        lines = text.decode("ascii").splitlines()[:layout.header_lines + 5]
+        col = getattr(layout, field)
+        row = layout.header_lines + 2
+        lines[row] = lines[row][:col[0]] + value.rjust(col[1] - col[0]) + lines[row][col[1]:]
+        bad = "\n".join(lines)
+        with pytest.raises(MassTableParseError) as exc:
+            ame.parse_mass_table(bad, edition)
+        assert exc.value.line_no == row + 1
+        name = "BE/A uncertainty" if field == "col_bea_err" else "BE/A"
+        assert f"{name} field {value!r}" in str(exc.value)
+
+        path = tmp_path / "mass.txt"
+        path.write_text(bad)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["ingest", str(path), "--edition", edition])
+        assert code == cli.EXIT_DATA
+        assert stderr.getvalue().count("\n") == 1
+
     def test_bytes_and_str_inputs_agree(self, mass16_text, records16):
         assert ame.parse_mass_table(mass16_text.decode("ascii"),
                                     "AME2016") == records16
 
 
 def loads(content, edition) -> bool:
-    """True if the table parses, False if it is rejected with one of the
-    package's input errors; any other exception fails the calling test."""
+    """True if the table parses into finite records, False if it is rejected
+    with one of the package's input errors; any other exception, or a
+    non-finite energy, fails the calling test."""
     try:
-        ame.parse_mass_table(content, edition)
+        records = ame.parse_mass_table(content, edition)
     except (MassTableParseError, DataIntegrityError, ConfigurationError):
         return False
+    assert all(math.isfinite(r.be_total) and math.isfinite(r.be_err) for r in records)
     return True
 
 

@@ -108,6 +108,18 @@ class TestGaussianResample:
                     assert energy == direct[(z, a, pass_idx)]
         assert others  # sanity
 
+    @pytest.mark.parametrize("noise_seed", [0, 7])
+    def test_every_cell_matches_its_own_stream(self, split, noise_seed):
+        # the re-keyed generator must give, on the real training set, the
+        # draw a fresh _stream would give for every (pass, nucleus) cell
+        train = split.train
+        assert any(r.be_err == 0 for r in train)
+        out = augment.gaussian_resample(train, 5, noise_seed)
+        expected = [augment.gaussian_draw(r.be_total, r.be_err,
+                                          augment._stream(noise_seed, pass_idx, i))
+                    for pass_idx in range(1, 6) for i, r in enumerate(train)]
+        assert out.rows["energy"][len(train):].tobytes() == np.array(expected).tobytes()
+
     def test_draw_moments(self):
         mu, sigma = 500.0, 0.3
         record = rec(28, 30, mu, sigma)

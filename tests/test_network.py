@@ -191,6 +191,28 @@ class TestTraining:
                    TrainConfig(epochs=10, batch_size=16, init_seed=2), opt)
         assert not np.array_equal(m1.params.flat, m2.params.flat)
 
+    def test_one_call_per_batch_through_module_attributes(self, monkeypatch):
+        # the benchmark's traced run times these two calls by patching the
+        # module attributes and checks one of each per batch; train must
+        # look them up there and must not fuse or stack steps
+        calls = {"fwd_bwd": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(network, "_forward_backward",
+                            counted("fwd_bwd", network._forward_backward))
+        monkeypatch.setattr(network, "optimizer_step",
+                            counted("step", network.optimizer_step))
+        rows, batch, epochs = 40, 16, 7     # last batch of each epoch has 8 rows
+        train(NetworkSpec((8, 8)), identity_set(records(rows)),
+              TrainConfig(epochs=epochs, batch_size=batch), OptimizerConfig())
+        steps = epochs * math.ceil(rows / batch)
+        assert calls == {"fwd_bwd": steps, "step": steps}
+
     def test_loss_decreases(self):
         spec = NetworkSpec((16, 8))
         model = train(spec, self.small_set(),
