@@ -36,10 +36,13 @@ class NuclideRecord:
     def __post_init__(self):
         if self.a != self.z + self.n:
             raise DataIntegrityError(f"A != Z + N for Z={self.z} N={self.n} A={self.a}")
-        if self.be_err < 0:
-            raise DataIntegrityError(f"negative uncertainty for Z={self.z} A={self.a}")
-        if self.be_total < 0:
-            raise DataIntegrityError(f"negative binding energy for Z={self.z} A={self.a}")
+        # one chained test on the common path; nan fails every comparison
+        if not (0.0 <= self.be_err < math.inf and 0.0 <= self.be_total < math.inf):
+            for name, value in (("uncertainty", self.be_err), ("binding energy", self.be_total)):
+                if not math.isfinite(value):
+                    raise DataIntegrityError(f"non-finite {name} for Z={self.z} A={self.a}")
+                if value < 0:
+                    raise DataIntegrityError(f"negative {name} for Z={self.z} A={self.a}")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -101,23 +104,21 @@ def _int_field(line: str, col: tuple[int, int], line_no: int, name: str) -> int:
         raise MassTableParseError(line_no, f"non-numeric {name} field {text!r}") from None
 
 
-def _energy_field(line: str, col: tuple[int, int], line_no: int, name: str,
-                  a: int) -> tuple[float, bool]:
+def _energy_field(line: str, col: tuple[int, int], line_no: int, name: str, a: int) -> float:
     """Parse a per-nucleon keV field into a total in MeV (times A / 1000).
 
-    ``#`` in place of the decimal point marks an estimate. ``float`` also
+    ``#`` stands in for the decimal point of an estimate. ``float`` also
     reads nan and inf, and a huge value overflows once scaled by A, so a
     result that is not finite is rejected like a non-numeric one.
     """
     text = line[col[0]:col[1]].strip()
-    estimated = "#" in text
     try:
         value = float(text.replace("#", ".")) * a / 1000.0
     except ValueError:
         raise MassTableParseError(line_no, f"non-numeric {name} field {text!r}") from None
     if not math.isfinite(value):
         raise MassTableParseError(line_no, f"{name} field {text!r} is not a finite energy")
-    return value, estimated
+    return value
 
 
 def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
@@ -133,22 +134,42 @@ def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
     if isinstance(content, bytes):
         content = content.decode("ascii", errors="replace")
 
+    min_width = layout.min_width
+    n0, n1 = layout.col_n
+    z0, z1 = layout.col_z
+    a0, a1 = layout.col_a
+    b0, b1 = layout.col_bea
+    e0, e1 = layout.col_bea_err
+    isfinite = math.isfinite
     records = []
-    for line_no, line in enumerate(content.splitlines(), start=1):
-        if line_no <= layout.header_lines:
-            continue
-        if not line.strip():
-            continue
-        if len(line) < layout.min_width:
-            raise MassTableParseError(
-                line_no, f"line width {len(line)} < required {layout.min_width}")
-        n = _int_field(line, layout.col_n, line_no, "N")
-        z = _int_field(line, layout.col_z, line_no, "Z")
-        a = _int_field(line, layout.col_a, line_no, "A")
-        be_total, est1 = _energy_field(line, layout.col_bea, line_no, "BE/A", a)
-        be_err, est2 = _energy_field(line, layout.col_bea_err, line_no, "BE/A uncertainty", a)
-        records.append(NuclideRecord(z=z, n=n, a=a, be_total=be_total, be_err=be_err,
-                                     estimated=est1 or est2))
+    append = records.append
+    lines = content.splitlines()[layout.header_lines:]
+    for line_no, line in enumerate(lines, start=layout.header_lines + 1):
+        if len(line) < min_width:
+            if not line.strip():
+                continue
+            raise MassTableParseError(line_no, f"line width {len(line)} < required {min_width}")
+        # int() and float() strip whitespace themselves; anything they reject,
+        # and a value that is not finite, goes back through the field helpers,
+        # which raise the error that names the line and field
+        bea, bea_err = line[b0:b1], line[e0:e1]
+        try:
+            n = int(line[n0:n1])
+            z = int(line[z0:z1])
+            a = int(line[a0:a1])
+            be_total = float(bea.replace("#", ".")) * a / 1000.0
+            be_err = float(bea_err.replace("#", ".")) * a / 1000.0
+            if not (isfinite(be_total) and isfinite(be_err)):
+                raise ValueError
+        except ValueError:
+            if not line.strip():
+                continue
+            n = _int_field(line, layout.col_n, line_no, "N")
+            z = _int_field(line, layout.col_z, line_no, "Z")
+            a = _int_field(line, layout.col_a, line_no, "A")
+            be_total = _energy_field(line, layout.col_bea, line_no, "BE/A", a)
+            be_err = _energy_field(line, layout.col_bea_err, line_no, "BE/A uncertainty", a)
+        append(NuclideRecord(z, n, a, be_total, be_err, "#" in bea or "#" in bea_err))
     return records
 
 
@@ -198,17 +219,61 @@ def write_records_csv(records: Iterable[NuclideRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow([r.z, r.n, r.a, repr(r.be_total), repr(r.be_err), int(r.estimated)])
+        w.writerows((r.z, r.n, r.a, repr(r.be_total), repr(r.be_err), int(r.estimated))
+                    for r in records)
+
+
+def csv_rows(path, columns: list[str]):
+    """(line number, fields) of each data row of a CSV file headed `columns`.
+
+    Blank lines are skipped. Another header, a row with more or fewer fields
+    than the header, or text the csv module cannot split raises
+    MassTableParseError naming the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != columns:
+                raise MassTableParseError(1, f"unexpected CSV header {header}")
+            width = len(columns)
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise MassTableParseError(
+                        reader.line_num, f"{len(row)} fields, expected {width}")
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise MassTableParseError(reader.line_num, f"malformed CSV row: {exc}") from None
+
+
+def bad_field(line_no: int, columns: list[str], types, row) -> MassTableParseError:
+    """The error for the first field of `row` that its type does not read,
+    or that reads as a non-finite float."""
+    for name, kind, text in zip(columns, types, row):
+        try:
+            value = kind(text)
+        except ValueError:
+            return MassTableParseError(line_no, f"non-numeric {name} field {text!r}")
+        if kind is float and not math.isfinite(value):
+            return MassTableParseError(line_no, f"{name} field {text!r} is not a finite energy")
+    return MassTableParseError(line_no, f"unreadable row {row}")
+
+
+_CSV_TYPES = (int, int, int, float, float, int)
 
 
 def read_records_csv(path) -> list[NuclideRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise MassTableParseError(1, f"unexpected CSV header {reader.fieldnames}")
-        return [NuclideRecord(
-            z=int(row["z"]), n=int(row["n"]), a=int(row["a"]),
-            be_total=float(row["be_total_mev"]), be_err=float(row["be_err_mev"]),
-            estimated=bool(int(row["estimated"])),
-        ) for row in reader]
+    """Read a write_records_csv file; a malformed row raises
+    MassTableParseError naming the line."""
+    records = []
+    for line_no, row in csv_rows(path, CSV_COLUMNS):
+        z, n, a, be_total, be_err, estimated = row
+        try:
+            fields = (int(z), int(n), int(a), float(be_total), float(be_err),
+                      bool(int(estimated)))
+        except ValueError:
+            raise bad_field(line_no, CSV_COLUMNS, _CSV_TYPES, row) from None
+        records.append(NuclideRecord(*fields))
+    return records

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .ame import NuclideRecord
-from .errors import ConfigurationError
+from .ame import NuclideRecord, bad_field, csv_rows
+from .errors import ConfigurationError, DataIntegrityError
 
 ORIGIN_ORIGINAL = "original"
 ORIGIN_ERR_PLUS = "err_plus"
@@ -46,7 +47,10 @@ ROW_DTYPE = np.dtype([("z", np.int64), ("a", np.int64), ("energy", np.float64),
 
 def _rows(z, a, energy, origin) -> np.ndarray:
     rows = np.empty(len(energy), dtype=ROW_DTYPE)
-    rows["z"], rows["a"], rows["energy"], rows["origin"] = z, a, energy, origin
+    try:
+        rows["z"], rows["a"], rows["energy"], rows["origin"] = z, a, energy, origin
+    except OverflowError:
+        raise DataIntegrityError("a Z or A value does not fit a 64-bit integer") from None
     return rows
 
 
@@ -163,13 +167,13 @@ AUGMENTED_CSV_COLUMNS = ["z", "n", "a", "be_total_mev", "be_err_mev", "estimated
 def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], path) -> None:
     """Canonical nuclide CSV extended with an `origin` column, plus a sidecar
     manifest (<path>.manifest.json) recording technique, k, base_size and seed."""
-    err = {r.key: r.be_err for r in source}
+    err = {r.key: repr(r.be_err) for r in source}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(AUGMENTED_CSV_COLUMNS)
         # tolist() yields Python scalars, whose repr is the plain number
-        for z, a, energy, origin in aug.rows.tolist():
-            w.writerow([z, a - z, a, repr(energy), repr(err[(z, a)]), 0, origin])
+        w.writerows((z, a - z, a, repr(energy), err[(z, a)], 0, origin)
+                    for z, a, energy, origin in aug.rows.tolist())
     manifest = {
         "technique": aug.technique,
         "k": aug.k,
@@ -181,11 +185,27 @@ def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], 
         fh.write("\n")
 
 
+_AUGMENTED_CSV_TYPES = (int, int, int, float, float, int, str)
+
+
 def read_augmented_csv(path) -> AugmentedTrainingSet:
-    with open(path, newline="") as fh:
-        lines = list(csv.DictReader(fh))
-    rows = _rows([int(r["z"]) for r in lines], [int(r["a"]) for r in lines],
-                 [float(r["be_total_mev"]) for r in lines], [r["origin"] for r in lines])
+    """Read a write_augmented_csv file; a malformed row, or an energy that is
+    not a finite number, raises MassTableParseError naming the line."""
+    z, a, energy, origin = [], [], [], []
+    for line_no, fields in csv_rows(path, AUGMENTED_CSV_COLUMNS):
+        try:
+            row_z, _, row_a, be_total, be_err, _, row_origin = (
+                kind(text) for kind, text in zip(_AUGMENTED_CSV_TYPES, fields))
+            if not (math.isfinite(be_total) and math.isfinite(be_err)):
+                raise ValueError
+        except ValueError:
+            raise bad_field(line_no, AUGMENTED_CSV_COLUMNS, _AUGMENTED_CSV_TYPES,
+                            fields) from None
+        z.append(row_z)
+        a.append(row_a)
+        energy.append(be_total)
+        origin.append(row_origin)
+    rows = _rows(z, a, energy, origin)
     try:
         with open(str(path) + ".manifest.json") as fh:
             manifest = json.load(fh)

@@ -16,8 +16,8 @@ import os
 import sys
 
 from . import __version__, ame, augment, experiment, network, report
-from .errors import (ConfigurationError, DataIntegrityError,
-                     IncompleteDataError, MassTableParseError)
+from .errors import (ConfigurationError, DataIntegrityError, IncompleteDataError,
+                     MassTableParseError, TrainingDivergedError)
 from .optimizers import OptimizerConfig
 
 EXIT_OK = 0
@@ -31,14 +31,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigurationError(message)
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -237,16 +229,18 @@ def cmd_sweep(args) -> int:
 
     checksums = {}
     with open(data["ame2016"], "rb") as fh:
-        records16 = ame.parse_mass_table(fh.read(), "AME2016")
-    checksums["ame2016"] = _sha256(data["ame2016"])
+        content = fh.read()
+    records16 = ame.parse_mass_table(content, "AME2016")
+    checksums["ame2016"] = hashlib.sha256(content).hexdigest()
     exp16 = ame.filter_experimental(records16, data["z_min"], data["n_min"])
     split = ame.split_dataset(exp16, split_cfg["ratio"], split_cfg["seed"])
 
     extrapolation = None
     if data["ame2020"]:
         with open(data["ame2020"], "rb") as fh:
-            records20 = ame.parse_mass_table(fh.read(), "AME2020")
-        checksums["ame2020"] = _sha256(data["ame2020"])
+            content = fh.read()
+        records20 = ame.parse_mass_table(content, "AME2020")
+        checksums["ame2020"] = hashlib.sha256(content).hexdigest()
         exp20 = ame.filter_experimental(records20, data["z_min"], data["n_min"])
         extrapolation = ame.diff_new_nuclei(exp16, exp20)
 
@@ -407,7 +401,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MassTableParseError, DataIntegrityError, IncompleteDataError,
-            FileNotFoundError) as exc:
+            TrainingDivergedError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -209,8 +209,7 @@ def dataset_tag(split: DatasetSplit,
     """Checksum of the exact datasets a sweep runs on."""
     h = hashlib.sha256()
     for part in (split.train, split.test, extrapolation or []):
-        for r in part:
-            h.update(f"{r.z},{r.a},{r.be_total!r},{r.be_err!r};".encode())
+        h.update("".join([f"{r.z},{r.a},{r.be_total!r},{r.be_err!r};" for r in part]).encode())
         h.update(b"|")
     h.update(f"seed={split.split_seed};ratio={split.ratio!r}".encode())
     return h.hexdigest()[:16]

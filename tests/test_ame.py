@@ -32,6 +32,12 @@ class TestNuclideRecord:
         with pytest.raises(DataIntegrityError):
             make_record(be=-1.0)
 
+    @pytest.mark.parametrize("field", ["be", "err"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, field, value):
+        with pytest.raises(DataIntegrityError, match="non-finite"):
+            make_record(**{field: value})
+
 
 class TestParsing:
     def test_unknown_edition(self):
@@ -59,6 +65,23 @@ class TestParsing:
     def test_hash_marks_estimated(self, records16):
         flagged = [r for r in records16 if r.estimated]
         assert flagged, "file should contain extrapolated entries"
+
+    @pytest.mark.parametrize("edition", sorted(ame.LAYOUTS))
+    @pytest.mark.parametrize("field", ["col_bea", "col_bea_err"])
+    def test_hash_in_either_field_marks_estimated(self, mass16_text, mass20_text,
+                                                   edition, field):
+        layout = ame.LAYOUTS[edition]
+        text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
+        lines = text.decode("ascii").splitlines()
+        row = next(i for i in range(layout.header_lines, len(lines)) if "#" not in lines[i])
+        start, end = getattr(layout, field)
+        original = lines[:row + 1]
+        line = original[-1]
+        spliced = original[:-1] + [line[:start] + line[start:end].replace(".", "#") + line[end:]]
+        measured = ame.parse_mass_table("\n".join(original), edition)[-1]
+        estimated = ame.parse_mass_table("\n".join(spliced), edition)[-1]
+        assert not measured.estimated and estimated.estimated
+        assert (estimated.be_total, estimated.be_err) == (measured.be_total, measured.be_err)
 
     def test_short_line_raises_with_line_number(self):
         bad = "\n" * ame.LAYOUTS["AME2016"].header_lines + "0 8 8 16\n"
@@ -102,6 +125,27 @@ class TestParsing:
             code = cli.main(["ingest", str(path), "--edition", edition])
         assert code == cli.EXIT_DATA
         assert stderr.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("edition", sorted(ame.LAYOUTS))
+    def test_blank_lines_between_records_skipped(self, mass16_text, mass20_text, edition):
+        # empty, short and wider-than-a-record whitespace lines, also after
+        # the last record; the records and the line numbers of later errors
+        # are those of the file without them
+        layout = ame.LAYOUTS[edition]
+        text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
+        lines = text.decode("ascii").splitlines()[:layout.header_lines + 6]
+        blanks = ["", "   ", " " * (layout.min_width + 30), "\t \t" * 40]
+        spaced = lines[:layout.header_lines + 1]
+        for line, blank in zip(lines[layout.header_lines + 1:], blanks + [""]):
+            spaced += [blank, line]
+        spaced += [" " * 200, ""]
+        assert (ame.parse_mass_table("\n".join(spaced), edition)
+                == ame.parse_mass_table("\n".join(lines), edition))
+
+        short = spaced + ["0 8 8 16"]
+        with pytest.raises(MassTableParseError, match="line width") as exc:
+            ame.parse_mass_table("\n".join(short), edition)
+        assert exc.value.line_no == len(short)
 
     def test_bytes_and_str_inputs_agree(self, mass16_text, records16):
         assert ame.parse_mass_table(mass16_text.decode("ascii"),
@@ -232,3 +276,68 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(MassTableParseError):
             ame.read_records_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        records = [make_record(), make_record(z=9, n=10, be=140.5, estimated=True)]
+        path = tmp_path / "records.csv"
+        ame.write_records_csv(records, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "\r\n" + rows[0] + "\n\n" + rows[1] + "\n")
+        assert ame.read_records_csv(path) == records
+
+
+HEADER = ",".join(ame.CSV_COLUMNS) + "\n"
+GOOD_ROW = "8,8,16,127.619,0.01,0\n"
+
+
+def cli_error(argv) -> tuple[int, str]:
+    """Exit code and standard error of ``nucaug <argv>``."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stderr.getvalue()
+
+
+class TestStrictRecordsCsv:
+    """A malformed canonical CSV is a data error naming its line, and
+    `nucaug augment` exits 2 with one line instead of a traceback."""
+
+    @pytest.mark.parametrize("row, message", [
+        ("8,9", "2 fields, expected 6"),
+        ("8,8,16,127.619,0.01,0,7", "7 fields, expected 6"),
+        ("8,8,16,abc,0.01,0", "non-numeric be_total_mev field 'abc'"),
+        ("8,8,16,127.619,,0", "non-numeric be_err_mev field ''"),
+        ("8.5,8,16,127.619,0.01,0", "non-numeric z field '8.5'"),
+        ("8,8,16,127.619,0.01,no", "non-numeric estimated field 'no'"),
+        pytest.param("8,8,16,127.619,0.01," + "1" * 200_000, "malformed CSV row",
+                     id="field-over-csv-limit"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + GOOD_ROW + "\n" + row + "\n" + GOOD_ROW)
+        with pytest.raises(MassTableParseError) as exc:
+            ame.read_records_csv(path)
+        assert exc.value.line_no == 4
+        assert message in str(exc.value)
+
+        code, err = cli_error(["augment", str(path), "--technique", "error",
+                               "--out", str(tmp_path / "aug.csv")])
+        assert code == cli.EXIT_DATA
+        assert err.startswith("data error: line 4:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("column", ["be_total_mev", "be_err_mev"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_energy_is_data_error(self, tmp_path, column, value):
+        fields = dict(zip(ame.CSV_COLUMNS, GOOD_ROW.strip().split(",")))
+        fields[column] = value
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + ",".join(fields.values()) + "\n")
+        with pytest.raises(DataIntegrityError, match="non-finite"):
+            ame.read_records_csv(path)
+
+        out = tmp_path / "aug.csv"
+        code, err = cli_error(["augment", str(path), "--technique", "error",
+                               "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        assert err.count("\n") == 1
+        assert not out.exists()

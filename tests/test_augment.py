@@ -1,11 +1,14 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucaug import augment
+from nucaug import augment, cli
 from nucaug.ame import NuclideRecord
-from nucaug.errors import ConfigurationError
+from nucaug.errors import ConfigurationError, DataIntegrityError, MassTableParseError
 
 
 def rec(z, n, be, err, estimated=False):
@@ -170,3 +173,42 @@ class TestAugmentedCsv:
         assert back.k == 3
         assert back.noise_seed == 9
         assert back.base_size == len(SAMPLE)
+
+    @pytest.mark.parametrize("row, message", [
+        ("8,8", "2 fields, expected 7"),
+        ("8,8,16,127.619,0.01,0,original,x", "8 fields, expected 7"),
+        ("8,8,16,abc,0.01,0,original", "non-numeric be_total_mev field 'abc'"),
+        ("8,x,16,127.619,0.01,0,original", "non-numeric n field 'x'"),
+        ("8,8,16,inf,0.01,0,gauss_1", "be_total_mev field 'inf' is not a finite"),
+        ("8,8,16,-inf,0.01,0,gauss_1", "be_total_mev field '-inf' is not a finite"),
+        ("8,8,16,127.619,nan,0,gauss_1", "be_err_mev field 'nan' is not a finite"),
+        ("8,8,16,1e999,0.01,0,gauss_1", "be_total_mev field '1e999' is not a finite"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        # read_augmented_csv and `nucaug train` on an augmented CSV
+        header = ",".join(augment.AUGMENTED_CSV_COLUMNS)
+        good = "8,8,16,127.619,0.01,0,original"
+        path = tmp_path / "aug.csv"
+        path.write_text("\n".join([header, good, good, row, good]) + "\n")
+        with pytest.raises(MassTableParseError) as exc:
+            augment.read_augmented_csv(path)
+        assert exc.value.line_no == 4
+        assert message in str(exc.value)
+
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["train", str(path), "--arch", "4", "--epochs", "1",
+                             "--batch", "8", "--out", str(tmp_path / "m.npz")])
+        assert code == cli.EXIT_DATA
+        assert stderr.getvalue().startswith("data error: line 4:")
+        assert stderr.getvalue().count("\n") == 1
+
+    def test_header_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "aug.csv"
+        path.write_text("z,a,energy\n8,16,127.6\n")
+        with pytest.raises(MassTableParseError, match="unexpected CSV header"):
+            augment.read_augmented_csv(path)
+
+    def test_out_of_range_mass_number_is_data_error(self):
+        with pytest.raises(DataIntegrityError, match="64-bit"):
+            augment.identity_set([rec(8, 10**20, 127.6, 0.1)])

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import re
 
@@ -7,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucaug import ame, cli, experiment
-from nucaug.errors import ConfigurationError
+from nucaug import ame, augment, cli, experiment
+from nucaug.errors import ConfigurationError, DataIntegrityError, MassTableParseError
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DATA = os.path.join(ROOT, "data")
@@ -297,6 +300,92 @@ class TestSweepConfig:
             cli._load_sweep_config(str(config))
         except ConfigurationError:
             pass
+
+
+def loads_training_csv(path) -> bool:
+    """True if `nucaug train` reads the CSV into rows of finite energies,
+    False if its reader rejects it with one of the package's data errors;
+    any other exception, or a non-finite energy, fails the calling test."""
+    try:
+        rows = cli._load_training_rows(path).rows
+    except (MassTableParseError, DataIntegrityError):
+        return False
+    assert np.isfinite(rows["energy"]).all()
+    return True
+
+
+def csv_record(z, n, be, err, estimated, origin):
+    """A row whose fields have the right types; its values may still be
+    negative, non-finite, huge or inconsistent."""
+    return f"{z},{n},{z + n},{be!r},{err!r},{estimated}" + (f",{origin}" if origin else "")
+
+
+CSV_JUNK = st.one_of(
+    st.lists(st.one_of(
+        st.text(alphabet="0123456789 .-+eEinfa_#\"", max_size=24),
+        st.sampled_from(["8", "16", "0", "1", "nan", "inf", "-inf", "1e999", "1e300",
+                         "original", ""]),
+        st.text(max_size=8)), max_size=9).map(",".join),
+    st.text(max_size=40),
+)
+ENERGY = st.one_of(st.floats(0, 3000), st.floats())
+
+
+@st.composite
+def csv_texts(draw):
+    """A canonical, augmented or other header, then records of the header's
+    width, with a junk line among them half of the time."""
+    header = draw(st.sampled_from([",".join(ame.CSV_COLUMNS),
+                                   ",".join(augment.AUGMENTED_CSV_COLUMNS), None]))
+    origin = (st.just("") if header == ",".join(ame.CSV_COLUMNS)
+              else st.sampled_from(["original", "gauss_1", '"x,y"']))
+    record = st.builds(csv_record, st.one_of(st.integers(0, 120), st.integers()),
+                       st.integers(0, 180), ENERGY, ENERGY, st.sampled_from([0, 1]), origin)
+    if header is None:
+        header = draw(CSV_JUNK)
+    lines = draw(st.lists(record, max_size=6))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(CSV_JUNK))
+    return "\n".join([header, *lines]) + "\n"
+
+
+class TestCsvReaderFuzz:
+    """Any text given to `nucaug augment` (canonical reader) and `nucaug
+    train` (canonical or augmented reader) loads with finite energies, or
+    the command exits 1 or 2 with one line on standard error."""
+
+    @given(text=csv_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_any_text(self, tmp_path_factory, text):
+        base = tmp_path_factory.getbasetemp()
+        path = base / "fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+
+        try:
+            records = ame.read_records_csv(path)
+        except (MassTableParseError, DataIntegrityError):
+            records = None
+        else:
+            assert all(math.isfinite(r.be_total) and math.isfinite(r.be_err)
+                       for r in records)
+        loaded = loads_training_csv(path)
+
+        for argv, ok in (
+                (["augment", str(path), "--technique", "error",
+                  "--out", str(base / "fuzz_aug.csv")], bool(records)),
+                (["train", str(path), "--arch", "4", "--epochs", "1", "--batch", "8",
+                  "--out", str(base / "fuzz_model.npz")], loaded)):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            if code != cli.EXIT_OK:
+                assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
+                assert stderr.getvalue().count("\n") == 1
+            if not ok:
+                assert code != cli.EXIT_OK
+            elif argv[0] == "augment":
+                assert code == cli.EXIT_OK
 
 
 class TestReport:
