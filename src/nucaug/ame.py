@@ -15,17 +15,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DataIntegrityError, MassTableParseError
 
 
-@dataclass(frozen=True)
-class NuclideRecord:
-    """One nucleus: identity, total binding energy and its uncertainty."""
-
+class _NuclideFields(NamedTuple):
     z: int
     n: int
     a: int
@@ -33,16 +30,35 @@ class NuclideRecord:
     be_err: float    # MeV, one sigma
     estimated: bool
 
-    def __post_init__(self):
-        if self.a != self.z + self.n:
-            raise DataIntegrityError(f"A != Z + N for Z={self.z} N={self.n} A={self.a}")
+
+class NuclideRecord(_NuclideFields):
+    """One nucleus: identity, total binding energy and its uncertainty.
+
+    An immutable tuple of its six fields, so that building one, which every
+    parsed or read record does, costs one tuple. Every way of making one
+    (positional, keyword, ``_make``, ``_replace`` and unpickling) passes the
+    checks in ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, z: int, n: int, a: int, be_total: float, be_err: float,
+                estimated: bool):
+        if a != z + n:
+            raise DataIntegrityError(f"A != Z + N for Z={z} N={n} A={a}")
         # one chained test on the common path; nan fails every comparison
-        if not (0.0 <= self.be_err < math.inf and 0.0 <= self.be_total < math.inf):
-            for name, value in (("uncertainty", self.be_err), ("binding energy", self.be_total)):
+        if not (0.0 <= be_err < math.inf and 0.0 <= be_total < math.inf):
+            for name, value in (("uncertainty", be_err), ("binding energy", be_total)):
                 if not math.isfinite(value):
-                    raise DataIntegrityError(f"non-finite {name} for Z={self.z} A={self.a}")
+                    raise DataIntegrityError(f"non-finite {name} for Z={z} A={a}")
                 if value < 0:
-                    raise DataIntegrityError(f"negative {name} for Z={self.z} A={self.a}")
+                    raise DataIntegrityError(f"negative {name} for Z={z} A={a}")
+        return tuple.__new__(cls, (z, n, a, be_total, be_err, estimated))
+
+    @classmethod
+    def _make(cls, iterable) -> "NuclideRecord":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -228,9 +244,10 @@ def csv_rows(path, columns: list[str]):
 
     Blank lines are skipped. Another header, a row with more or fewer fields
     than the header, or text the csv module cannot split raises
-    MassTableParseError naming the line.
+    MassTableParseError naming the line; a file that is not UTF-8 text
+    raises DataIntegrityError naming the file.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -246,6 +263,9 @@ def csv_rows(path, columns: list[str]):
                 yield reader.line_num, row
         except csv.Error as exc:
             raise MassTableParseError(reader.line_num, f"malformed CSV row: {exc}") from None
+        except UnicodeDecodeError:
+            # decoding runs a block at a time, so no line can be named
+            raise DataIntegrityError(f"{path} is not UTF-8 text") from None
 
 
 def bad_field(line_no: int, columns: list[str], types, row) -> MassTableParseError:
@@ -262,11 +282,13 @@ def bad_field(line_no: int, columns: list[str], types, row) -> MassTableParseErr
 
 
 _CSV_TYPES = (int, int, int, float, float, int)
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def read_records_csv(path) -> list[NuclideRecord]:
-    """Read a write_records_csv file; a malformed row raises
-    MassTableParseError naming the line."""
+    """Read a write_records_csv file; a malformed row, or a Z or A that does
+    not fit the 64-bit arrays of augmentation, raises MassTableParseError
+    naming the line."""
     records = []
     for line_no, row in csv_rows(path, CSV_COLUMNS):
         z, n, a, be_total, be_err, estimated = row
@@ -275,5 +297,7 @@ def read_records_csv(path) -> list[NuclideRecord]:
                       bool(int(estimated)))
         except ValueError:
             raise bad_field(line_no, CSV_COLUMNS, _CSV_TYPES, row) from None
+        if fields[0] not in _INT64 or fields[2] not in _INT64:
+            raise MassTableParseError(line_no, "Z or A does not fit a 64-bit integer")
         records.append(NuclideRecord(*fields))
     return records

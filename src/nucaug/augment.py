@@ -186,11 +186,14 @@ def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], 
 
 
 _AUGMENTED_CSV_TYPES = (int, int, int, float, float, int, str)
+_SIDECAR_KEYS = {"technique", "k", "base_size", "noise_seed"}
 
 
 def read_augmented_csv(path) -> AugmentedTrainingSet:
     """Read a write_augmented_csv file; a malformed row, or an energy that is
-    not a finite number, raises MassTableParseError naming the line."""
+    not a finite number, raises MassTableParseError naming the line, and a
+    sidecar that is not a JSON object with the four keys raises
+    DataIntegrityError naming the sidecar."""
     z, a, energy, origin = [], [], [], []
     for line_no, fields in csv_rows(path, AUGMENTED_CSV_COLUMNS):
         try:
@@ -206,11 +209,17 @@ def read_augmented_csv(path) -> AugmentedTrainingSet:
         energy.append(be_total)
         origin.append(row_origin)
     rows = _rows(z, a, energy, origin)
+    sidecar = str(path) + ".manifest.json"
     try:
-        with open(str(path) + ".manifest.json") as fh:
+        with open(sidecar) as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
-        manifest = {"technique": "none", "k": 0, "base_size": len(rows), "noise_seed": None}
+        return AugmentedTrainingSet(rows=rows, base_size=len(rows), technique="none")
+    except ValueError as exc:  # not JSON, or not text
+        raise DataIntegrityError(f"bad augmented-CSV sidecar {sidecar}: {exc}") from None
+    if not (isinstance(manifest, dict) and _SIDECAR_KEYS <= manifest.keys()):
+        raise DataIntegrityError(f"bad augmented-CSV sidecar {sidecar}: expected a JSON "
+                                 f"object with the keys {', '.join(sorted(_SIDECAR_KEYS))}")
     return AugmentedTrainingSet(rows=rows, base_size=manifest["base_size"],
                                 technique=manifest["technique"], k=manifest["k"],
                                 noise_seed=manifest["noise_seed"])

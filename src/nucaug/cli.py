@@ -116,7 +116,8 @@ def cmd_augment(args) -> int:
 
 
 def _load_training_rows(path) -> augment.AugmentedTrainingSet:
-    with open(path, newline="") as fh:
+    # text that does not decode is reported by the reader this picks
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip().split(",")
     if header == ame.CSV_COLUMNS:
         return augment.identity_set(ame.read_records_csv(path))

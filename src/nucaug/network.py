@@ -207,6 +207,7 @@ class TrainedModel:
         return raw * self.target_std + self.target_mean
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(spec: NetworkSpec, train_set: AugmentedTrainingSet,
           config: TrainConfig, opt: OptimizerConfig) -> TrainedModel:
     """Mini-batch training; fully deterministic given data, seeds and configs.
@@ -215,6 +216,10 @@ def train(spec: NetworkSpec, train_set: AugmentedTrainingSet,
     ORIGINAL (pre-augmentation) rows only, and those statistics travel with
     the model; predictions and the loss history are always reported back in
     raw MeV.
+
+    Energies too far apart to standardize, or a step that overflows, end in
+    TrainingDivergedError rather than numpy warnings: a non-finite epoch loss
+    or final parameter is the one report of it.
     """
     rows = train_set.rows
     if not len(rows):
@@ -259,6 +264,9 @@ def train(spec: NetworkSpec, train_set: AugmentedTrainingSet,
             raise TrainingDivergedError(
                 f"non-finite training loss at epoch {epoch + 1}")
         history.append(epoch_loss)
+    if not np.isfinite(params.flat).all():
+        raise TrainingDivergedError(
+            f"non-finite parameters after epoch {config.epochs}")
     return TrainedModel(params=params, input_mean=mean, input_std=std,
                         target_mean=t_mean, target_std=t_std,
                         loss_history=history)

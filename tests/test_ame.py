@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,66 @@ class TestNuclideRecord:
     def test_non_finite_energy_rejected(self, field, value):
         with pytest.raises(DataIntegrityError, match="non-finite"):
             make_record(**{field: value})
+
+    def test_repr(self):
+        assert repr(make_record()) == ("NuclideRecord(z=8, n=8, a=16, be_total=127.619, "
+                                       "be_err=0.01, estimated=False)")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        # a sweep sends its split to worker processes by pickle
+        records = [make_record(), make_record(z=82, n=126, be=1636.43022, err=0.0,
+                                              estimated=True)]
+        back = pickle.loads(pickle.dumps(records, protocol))
+        assert back == records
+        assert all(type(r) is ame.NuclideRecord for r in back)
+
+    def test_immutable(self):
+        record = make_record()
+        with pytest.raises(AttributeError):
+            record.z = 9
+        with pytest.raises(AttributeError):
+            record.note = "x"
+        assert record == make_record()
+
+    def test_equality_and_hash_are_by_fields(self):
+        # as for the frozen dataclass this replaced: equal fields give equal
+        # records with the hash of their field tuple
+        record = make_record()
+        fields = (8, 8, 16, 127.619, 0.01, False)
+        assert record == make_record() and hash(record) == hash(make_record())
+        assert hash(record) == hash(fields)
+        assert record != make_record(err=0.02) and record != make_record(estimated=True)
+        assert len({record, make_record(), make_record(z=9)}) == 2
+        # unlike the dataclass, it is a tuple, and equals the tuple of its fields
+        assert record == fields
+
+    GOOD = dict(z=8, n=8, a=16, be_total=127.619, be_err=0.01, estimated=False)
+    BAD = [
+        (dict(a=17), "A != Z + N for Z=8 N=8 A=17"),
+        (dict(be_err=-0.001), "negative uncertainty for Z=8 A=16"),
+        (dict(be_total=-1.0), "negative binding energy for Z=8 A=16"),
+        (dict(be_err=math.nan), "non-finite uncertainty for Z=8 A=16"),
+        (dict(be_total=math.inf), "non-finite binding energy for Z=8 A=16"),
+    ]
+    PATHS = {
+        "positional": lambda f: ame.NuclideRecord(*f.values()),
+        "keyword": lambda f: ame.NuclideRecord(**f),
+        "_make": lambda f: ame.NuclideRecord._make(f.values()),
+        "_replace": lambda f: make_record()._replace(**f),
+        # a pickle of a record that never passed the checks
+        "unpickle": lambda f: pickle.loads(pickle.dumps(
+            tuple.__new__(ame.NuclideRecord, tuple(f.values())))),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("change, message", BAD)
+    def test_every_construction_path_validates(self, path, change, message):
+        build = self.PATHS[path]
+        assert build(self.GOOD) == make_record()
+        with pytest.raises(DataIntegrityError) as exc:
+            build({**self.GOOD, **change})
+        assert str(exc.value) == message
 
 
 class TestParsing:
@@ -311,6 +372,9 @@ class TestStrictRecordsCsv:
         ("8,8,16,127.619,0.01,no", "non-numeric estimated field 'no'"),
         pytest.param("8,8,16,127.619,0.01," + "1" * 200_000, "malformed CSV row",
                      id="field-over-csv-limit"),
+        # reads as a record, but augmentation keeps Z and A in int64 arrays
+        ("9223372036854775628,180,9223372036854775808,0.0,0.0,0",
+         "Z or A does not fit a 64-bit integer"),
     ])
     def test_bad_row_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "records.csv"

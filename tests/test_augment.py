@@ -203,6 +203,23 @@ class TestAugmentedCsv:
         assert stderr.getvalue().startswith("data error: line 4:")
         assert stderr.getvalue().count("\n") == 1
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ('{"technique": "none"', "Expecting ',' delimiter"),
+        ("{}", "expected a JSON object with the keys base_size, k, noise_seed, technique"),
+    ])
+    def test_bad_sidecar_is_data_error(self, tmp_path, sidecar, message):
+        path = tmp_path / "aug.csv"
+        augment.write_augmented_csv(augment.error_resample(SAMPLE), SAMPLE, path)
+        (tmp_path / "aug.csv.manifest.json").write_text(sidecar)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["train", str(path), "--arch", "4", "--epochs", "1",
+                             "--batch", "8", "--out", str(tmp_path / "m.npz")])
+        assert code == cli.EXIT_DATA
+        err = stderr.getvalue()
+        assert err.startswith(f"data error: bad augmented-CSV sidecar {path}.manifest.json: ")
+        assert message in err and err.count("\n") == 1
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "aug.csv"
         path.write_text("z,a,energy\n8,16,127.6\n")

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +150,45 @@ class TestTrainEvaluate:
                           "5", "--batch", "8",
                           "--out", str(tmp_path / "m.npz")], capsys)
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("energies, options, message", [
+        # spread past float64 once squared
+        (("1e300", "1"), ["--epochs", "3"], "non-finite training loss at epoch 1"),
+        # every step overflows
+        (("127.619", "131.762"), ["--epochs", "3", "--lr", "1e200"],
+         "non-finite training loss at epoch 2"),
+        # the loss is taken before the one step, which overflows
+        (("127.619", "131.762"), ["--epochs", "1", "--lr", "1e308", "--optimizer", "rmsprop"],
+         "non-finite parameters after epoch 1"),
+    ])
+    def test_overflow_is_one_line(self, tmp_path, energies, options, message):
+        # in a process of its own, because pytest collects numpy's warnings
+        # before they could reach standard error
+        path = tmp_path / "records.csv"
+        path.write_text(",".join(ame.CSV_COLUMNS) + "\n"
+                        + f"8,8,16,{energies[0]},0.01,0\n8,9,17,{energies[1]},0.01,0\n")
+        src = os.path.join(ROOT, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nucaug.cli", "train", str(path), "--arch", "4",
+             "--batch", "8", *options, "--out", str(tmp_path / "m.npz")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == cli.EXIT_DATA
+        assert proc.stderr == f"data error: {message}\n"
+
+    @pytest.mark.parametrize("header", [ame.CSV_COLUMNS, augment.AUGMENTED_CSV_COLUMNS])
+    def test_csv_not_utf8_is_data_error(self, tmp_path, capsys, header):
+        row = "8,8,16,127.619,0.01,0" + (",original" if "origin" in header else "")
+        path = tmp_path / "records.csv"
+        path.write_bytes(f"{','.join(header)}\n{row}\n".encode() + b"\xff")
+        for argv in (["augment", str(path), "--technique", "error",
+                      "--out", str(tmp_path / "aug.csv")],
+                     ["train", str(path), "--arch", "4", "--epochs", "1",
+                      "--batch", "8", "--out", str(tmp_path / "m.npz")]):
+            code, _, err = run(argv, capsys)
+            assert code == cli.EXIT_DATA
+            assert err == f"data error: {path} is not UTF-8 text\n"
 
 
 SWEEP_CONFIG = """\
