@@ -112,29 +112,7 @@ LAYOUTS: dict[str, MassTableLayout] = {
 }
 
 
-def _int_field(line: str, col: tuple[int, int], line_no: int, name: str) -> int:
-    text = line[col[0]:col[1]].strip()
-    try:
-        return int(text)
-    except ValueError:
-        raise MassTableParseError(line_no, f"non-numeric {name} field {text!r}") from None
-
-
-def _energy_field(line: str, col: tuple[int, int], line_no: int, name: str, a: int) -> float:
-    """Parse a per-nucleon keV field into a total in MeV (times A / 1000).
-
-    ``#`` stands in for the decimal point of an estimate. ``float`` also
-    reads nan and inf, and a huge value overflows once scaled by A, so a
-    result that is not finite is rejected like a non-numeric one.
-    """
-    text = line[col[0]:col[1]].strip()
-    try:
-        value = float(text.replace("#", ".")) * a / 1000.0
-    except ValueError:
-        raise MassTableParseError(line_no, f"non-numeric {name} field {text!r}") from None
-    if not math.isfinite(value):
-        raise MassTableParseError(line_no, f"{name} field {text!r} is not a finite energy")
-    return value
+_FIELD_NAMES = ("N", "Z", "A", "BE/A", "BE/A uncertainty")
 
 
 def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
@@ -165,9 +143,10 @@ def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
             if not line.strip():
                 continue
             raise MassTableParseError(line_no, f"line width {len(line)} < required {min_width}")
-        # int() and float() strip whitespace themselves; anything they reject,
-        # and a value that is not finite, goes back through the field helpers,
-        # which raise the error that names the line and field
+        # int() and float() strip whitespace themselves; "#" stands in for the
+        # decimal point of an estimate. A line they reject, or whose energy is
+        # not finite (float reads nan and inf, and a huge value overflows once
+        # scaled by A), goes to bad_field, which names the line and field.
         bea, bea_err = line[b0:b1], line[e0:e1]
         try:
             n = int(line[n0:n1])
@@ -180,11 +159,18 @@ def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
         except ValueError:
             if not line.strip():
                 continue
-            n = _int_field(line, layout.col_n, line_no, "N")
-            z = _int_field(line, layout.col_z, line_no, "Z")
-            a = _int_field(line, layout.col_a, line_no, "A")
-            be_total = _energy_field(line, layout.col_bea, line_no, "BE/A", a)
-            be_err = _energy_field(line, layout.col_bea_err, line_no, "BE/A uncertainty", a)
+            try:
+                a = int(line[a0:a1])
+            except ValueError:
+                a = 0  # bad_field names A before it reads an energy
+
+            def energy(text):
+                return float(text.replace("#", ".")) * a / 1000.0
+
+            fields = [line[c0:c1].strip()
+                      for c0, c1 in ((n0, n1), (z0, z1), (a0, a1), (b0, b1), (e0, e1))]
+            raise bad_field(line_no, _FIELD_NAMES, (int, int, int, energy, energy),
+                            fields) from None
         append(NuclideRecord(z, n, a, be_total, be_err, "#" in bea or "#" in bea_err))
     return records
 
@@ -230,13 +216,19 @@ def split_dataset(records: list[NuclideRecord], ratio: float, seed: int) -> Data
 CSV_COLUMNS = ["z", "n", "a", "be_total_mev", "be_err_mev", "estimated"]
 
 
-def write_records_csv(records: Iterable[NuclideRecord], path) -> None:
-    """Write the canonical nuclide CSV, the interchange format of the pipeline."""
+def write_csv(path, header: list[str], rows: Iterable) -> None:
+    """Write a header line and rows; every CSV the package writes goes here."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        w.writerows((r.z, r.n, r.a, repr(r.be_total), repr(r.be_err), int(r.estimated))
-                    for r in records)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_records_csv(records: Iterable[NuclideRecord], path) -> None:
+    """Write the canonical nuclide CSV, the interchange format of the pipeline."""
+    write_csv(path, CSV_COLUMNS,
+              ((r.z, r.n, r.a, repr(r.be_total), repr(r.be_err), int(r.estimated))
+               for r in records))
 
 
 def csv_rows(path, columns: list[str]):
@@ -268,7 +260,7 @@ def csv_rows(path, columns: list[str]):
             raise DataIntegrityError(f"{path} is not UTF-8 text") from None
 
 
-def bad_field(line_no: int, columns: list[str], types, row) -> MassTableParseError:
+def bad_field(line_no: int, columns, types, row) -> MassTableParseError:
     """The error for the first field of `row` that its type does not read,
     or that reads as a non-finite float."""
     for name, kind, text in zip(columns, types, row):
@@ -276,7 +268,7 @@ def bad_field(line_no: int, columns: list[str], types, row) -> MassTableParseErr
             value = kind(text)
         except ValueError:
             return MassTableParseError(line_no, f"non-numeric {name} field {text!r}")
-        if kind is float and not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             return MassTableParseError(line_no, f"{name} field {text!r} is not a finite energy")
     return MassTableParseError(line_no, f"unreadable row {row}")
 

@@ -19,7 +19,6 @@ generation order does not matter.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ame import NuclideRecord, bad_field, csv_rows
+from .ame import NuclideRecord, bad_field, csv_rows, write_csv
 from .errors import ConfigurationError, DataIntegrityError
 
 ORIGIN_ORIGINAL = "original"
@@ -162,31 +161,24 @@ def apply(technique: str, k: int, train: list[NuclideRecord],
 
 
 AUGMENTED_CSV_COLUMNS = ["z", "n", "a", "be_total_mev", "be_err_mev", "estimated", "origin"]
+# the AugmentedTrainingSet fields that the sidecar manifest holds
+_SIDECAR_KEYS = ("base_size", "k", "noise_seed", "technique")
 
 
 def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], path) -> None:
     """Canonical nuclide CSV extended with an `origin` column, plus a sidecar
     manifest (<path>.manifest.json) recording technique, k, base_size and seed."""
     err = {r.key: repr(r.be_err) for r in source}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(AUGMENTED_CSV_COLUMNS)
-        # tolist() yields Python scalars, whose repr is the plain number
-        w.writerows((z, a - z, a, repr(energy), err[(z, a)], 0, origin)
-                    for z, a, energy, origin in aug.rows.tolist())
-    manifest = {
-        "technique": aug.technique,
-        "k": aug.k,
-        "base_size": aug.base_size,
-        "noise_seed": aug.noise_seed,
-    }
+    # tolist() yields Python scalars, whose repr is the plain number
+    write_csv(path, AUGMENTED_CSV_COLUMNS,
+              ((z, a - z, a, repr(energy), err[(z, a)], 0, origin)
+               for z, a, energy, origin in aug.rows.tolist()))
+    manifest = {key: getattr(aug, key) for key in _SIDECAR_KEYS}
     with open(str(path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 _AUGMENTED_CSV_TYPES = (int, int, int, float, float, int, str)
-_SIDECAR_KEYS = {"technique", "k", "base_size", "noise_seed"}
 
 
 def read_augmented_csv(path) -> AugmentedTrainingSet:
@@ -217,9 +209,7 @@ def read_augmented_csv(path) -> AugmentedTrainingSet:
         return AugmentedTrainingSet(rows=rows, base_size=len(rows), technique="none")
     except ValueError as exc:  # not JSON, or not text
         raise DataIntegrityError(f"bad augmented-CSV sidecar {sidecar}: {exc}") from None
-    if not (isinstance(manifest, dict) and _SIDECAR_KEYS <= manifest.keys()):
+    if not (isinstance(manifest, dict) and manifest.keys() >= set(_SIDECAR_KEYS)):
         raise DataIntegrityError(f"bad augmented-CSV sidecar {sidecar}: expected a JSON "
-                                 f"object with the keys {', '.join(sorted(_SIDECAR_KEYS))}")
-    return AugmentedTrainingSet(rows=rows, base_size=manifest["base_size"],
-                                technique=manifest["technique"], k=manifest["k"],
-                                noise_seed=manifest["noise_seed"])
+                                 f"object with the keys {', '.join(_SIDECAR_KEYS)}")
+    return AugmentedTrainingSet(rows=rows, **{key: manifest[key] for key in _SIDECAR_KEYS})

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
+import math
 import os
 import sys
 
@@ -78,13 +78,6 @@ def _parse_architectures(text: str) -> list[tuple[tuple[int, ...], int, int]]:
     return archs
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_ingest(args) -> int:
@@ -149,24 +142,32 @@ def cmd_evaluate(args) -> int:
     records = ame.read_records_csv(args.records_csv)
     pred = model.predict([r.z for r in records], [r.a for r in records])
     rms = experiment.rms_error(pred, [r.be_total for r in records])
+    if not math.isfinite(rms):
+        raise DataIntegrityError(f"rms over {len(records)} nuclei is not finite: {rms}")
     print(f"rms: {rms:.6f} MeV over {len(records)} nuclei")
     if args.out:
-        _write_csv(args.out, ["z", "a", "be_exp_mev", "be_pred_mev"],
-                   [[r.z, r.a, repr(r.be_total), repr(float(p))]
-                    for r, p in zip(records, pred)])
+        ame.write_csv(args.out, ["z", "a", "be_exp_mev", "be_pred_mev"],
+                      [[r.z, r.a, repr(r.be_total), repr(float(p))]
+                       for r, p in zip(records, pred)])
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
-# section -> keys a sweep config may set; anything else is rejected
-SWEEP_CONFIG_KEYS = {
-    "data": {"ame2016", "ame2020", "z_min", "n_min"},
-    "split": {"ratio", "seed"},
-    "sweep": {"architectures", "levels", "seeds", "noise_seed", "activation"},
-    "optimizer": {"algorithm", "learning_rate", "beta1", "beta2", "epsilon",
-                  "rmsprop_decay"},
-}
 _REQUIRED = object()
+
+# section -> key -> (converter, default) of every key a sweep config may set;
+# anything else is rejected, and a key whose default is _REQUIRED must be set
+SWEEP_CONFIG_KEYS = {
+    "data": {"ame2016": (str, _REQUIRED), "ame2020": (str, None),
+             "z_min": (int, 8), "n_min": (int, 8)},
+    "split": {"ratio": (float, 0.7), "seed": (int, 0)},
+    "sweep": {"architectures": (_parse_architectures, _REQUIRED),
+              "levels": (_parse_levels, _REQUIRED), "seeds": (_parse_seeds, _REQUIRED),
+              "noise_seed": (int, 0), "activation": (str, "relu")},
+    "optimizer": {"algorithm": (str, "adam"), "learning_rate": (float, 0.001),
+                  "beta1": (float, 0.9), "beta2": (float, 0.99), "epsilon": (float, 1e-8),
+                  "rmsprop_decay": (float, 0.9)},
+}
 
 
 def _load_sweep_config(path):
@@ -180,70 +181,43 @@ def _load_sweep_config(path):
         message = " ".join(str(exc).split())
         raise ConfigurationError(f"bad config file {path}: {message}") from None
     for section in cp.sections():
-        unknown = sorted(set(cp.options(section)) - SWEEP_CONFIG_KEYS.get(section, set()))
+        unknown = sorted(set(cp.options(section)) - SWEEP_CONFIG_KEYS.get(section, {}).keys())
         if unknown:
             raise ConfigurationError(
                 f"unknown config key(s) in [{section}]: {', '.join(unknown)}")
 
-    def get(section, key, convert=str, fallback=_REQUIRED):
+    def get(section, key, convert, default):
         text = cp.get(section, key, fallback=None)
         if text is None:
-            if fallback is _REQUIRED:
+            if default is _REQUIRED:
                 raise ConfigurationError(f"config missing [{section}] {key}")
-            return fallback
+            return default
         try:
             return convert(text)
         except ValueError as exc:
             raise ConfigurationError(f"bad config [{section}] {key}: {exc}") from None
 
-    data = {
-        "ame2016": get("data", "ame2016"),
-        "ame2020": get("data", "ame2020", fallback=None),
-        "z_min": get("data", "z_min", int, 8),
-        "n_min": get("data", "n_min", int, 8),
-    }
-    split = {
-        "ratio": get("split", "ratio", float, 0.7),
-        "seed": get("split", "seed", int, 0),
-    }
-    sweep = {
-        "architectures": get("sweep", "architectures", _parse_architectures),
-        "levels": get("sweep", "levels", _parse_levels),
-        "seeds": get("sweep", "seeds", _parse_seeds),
-        "noise_seed": get("sweep", "noise_seed", int, 0),
-        "activation": get("sweep", "activation", fallback="relu"),
-    }
-    opt = OptimizerConfig(
-        algorithm=get("optimizer", "algorithm", fallback="adam"),
-        learning_rate=get("optimizer", "learning_rate", float, 0.001),
-        beta1=get("optimizer", "beta1", float, 0.9),
-        beta2=get("optimizer", "beta2", float, 0.99),
-        epsilon=get("optimizer", "epsilon", float, 1e-8),
-        rmsprop_decay=get("optimizer", "rmsprop_decay", float, 0.9),
-    )
-    return data, split, sweep, opt
+    config = {section: {key: get(section, key, *spec) for key, spec in keys.items()}
+              for section, keys in SWEEP_CONFIG_KEYS.items()}
+    return (config["data"], config["split"], config["sweep"],
+            OptimizerConfig(**config["optimizer"]))
 
 
 def cmd_sweep(args) -> int:
     data, split_cfg, sweep_cfg, opt = _load_sweep_config(args.config)
     os.makedirs(args.out, exist_ok=True)
 
-    checksums = {}
-    with open(data["ame2016"], "rb") as fh:
-        content = fh.read()
-    records16 = ame.parse_mass_table(content, "AME2016")
-    checksums["ame2016"] = hashlib.sha256(content).hexdigest()
-    exp16 = ame.filter_experimental(records16, data["z_min"], data["n_min"])
-    split = ame.split_dataset(exp16, split_cfg["ratio"], split_cfg["seed"])
-
-    extrapolation = None
-    if data["ame2020"]:
-        with open(data["ame2020"], "rb") as fh:
-            content = fh.read()
-        records20 = ame.parse_mass_table(content, "AME2020")
-        checksums["ame2020"] = hashlib.sha256(content).hexdigest()
-        exp20 = ame.filter_experimental(records20, data["z_min"], data["n_min"])
-        extrapolation = ame.diff_new_nuclei(exp16, exp20)
+    checksums, experimental = {}, {}
+    for key in ("ame2016", "ame2020"):  # the config key is the edition, in lower case
+        if data[key]:
+            with open(data[key], "rb") as fh:
+                content = fh.read()
+            checksums[key] = hashlib.sha256(content).hexdigest()
+            experimental[key] = ame.filter_experimental(
+                ame.parse_mass_table(content, key.upper()), data["z_min"], data["n_min"])
+    split = ame.split_dataset(experimental["ame2016"], split_cfg["ratio"], split_cfg["seed"])
+    extrapolation = (ame.diff_new_nuclei(experimental["ame2016"], experimental["ame2020"])
+                     if "ame2020" in experimental else None)
 
     total = (len(sweep_cfg["architectures"]) * len(sweep_cfg["levels"])
              * len(sweep_cfg["seeds"]))
@@ -292,10 +266,10 @@ def _export_figures(results_csv, out_dir) -> list[str]:
     for fig_id, build in report.FIGURES.items():
         try:
             header, data_rows = build(rows)
-        except (IncompleteDataError, StopIteration):
+        except IncompleteDataError:
             continue
         path = os.path.join(out_dir, f"{fig_id}.csv")
-        _write_csv(path, header, data_rows)
+        ame.write_csv(path, header, data_rows)
         written.append(path)
     return written
 
@@ -322,7 +296,7 @@ def cmd_report(args) -> int:
         header, rows = report.FIGURES[args.figure](
             experiment.read_results_csv(args.results_csv))
     path = os.path.join(args.out, f"{args.figure}.csv")
-    _write_csv(path, header, rows)
+    ame.write_csv(path, header, rows)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -347,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="augment a canonical CSV of training records")
     p.add_argument("records_csv")
-    p.add_argument("--technique", required=True, choices=["none", "error", "gaussian"])
+    p.add_argument("--technique", required=True, choices=experiment.TECHNIQUES)
     p.add_argument("--k", type=int, default=1, help="gaussian resample count")
     p.add_argument("--noise-seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -402,7 +376,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MassTableParseError, DataIntegrityError, IncompleteDataError,
-            TrainingDivergedError, FileNotFoundError) as exc:
+            TrainingDivergedError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -9,7 +9,6 @@ dataset checksum, so interrupted sweeps resume where they stopped.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -17,16 +16,18 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
 
 from . import augment
-from .ame import DatasetSplit, NuclideRecord
-from .errors import ConfigurationError, TrainingDivergedError
+from .ame import DatasetSplit, NuclideRecord, bad_field, csv_rows, write_csv
+from .errors import ConfigurationError, MassTableParseError, TrainingDivergedError
 from .network import NetworkSpec, TrainConfig, train
 from .optimizers import OptimizerConfig
+
+TECHNIQUES = ("none", "error", "gaussian")
 
 # (hidden widths, epochs, batch size) used throughout the baseline study
 ARCH_SETTINGS: list[tuple[tuple[int, ...], int, int]] = [
@@ -43,8 +44,10 @@ ARCH_SETTINGS: list[tuple[tuple[int, ...], int, int]] = [
 ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rms_error(predictions, targets) -> float:
-    """sqrt(mean((pred - target)^2)), in MeV."""
+    """sqrt(mean((pred - target)^2)), in MeV; inf, without a numpy warning,
+    where the squares overflow."""
     predictions = np.asarray(predictions, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if predictions.shape != targets.shape or predictions.size == 0:
@@ -76,7 +79,7 @@ class TrialSpec:
         # reject what run_trial would reject, before any trial of a sweep trains
         NetworkSpec(hidden_widths=self.hidden_widths, activation=self.activation)
         TrainConfig(epochs=self.epochs, batch_size=self.batch_size)
-        if self.technique not in ("none", "error", "gaussian"):
+        if self.technique not in TECHNIQUES:
             raise ConfigurationError(f"unknown augmentation technique {self.technique!r}")
         if self.technique == "gaussian" and (self.k < 1 or self.noise_seed < 0):
             raise ConfigurationError(
@@ -191,17 +194,43 @@ class ResultTable:
         return sorted(self.trials, key=self._sort_key)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(RESULTS_COLUMNS)
-            for res in self.sorted_trials():
-                w.writerow(result_row(res))
+        write_csv(path, RESULTS_COLUMNS, map(result_row, self.sorted_trials()))
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    return tuple(int(w) for w in text.split("-"))
+
+
+def _number_or_empty(text: str) -> str:
+    """A metric: empty for a failed trial, else anything float reads, nan and
+    inf included (returned as text, so bad_field does not reject those)."""
+    if text:
+        float(text)
+    return text
+
+
+# what each results column must read as
+_RESULTS_TYPES = (_widths, str, int, str, str, int, _number_or_empty, _number_or_empty,
+                  _number_or_empty, int, int, str)
 
 
 def read_results_csv(path) -> list[dict]:
-    """Raw result rows (dicts) from a persisted sweep CSV."""
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+    """Result rows, as dicts of their CSV text, from a ResultTable.write_csv
+    file. A wrong header, a short or long row, an arch that is not hyphenated
+    integers, an unknown augmentation, a k, seed, epochs or batch that is not
+    an integer, or a metric that is neither empty nor a number raises
+    MassTableParseError naming the line."""
+    rows = []
+    for line_no, row in csv_rows(path, RESULTS_COLUMNS):
+        try:
+            for kind, text in zip(_RESULTS_TYPES, row):
+                kind(text)
+        except ValueError:
+            raise bad_field(line_no, RESULTS_COLUMNS, _RESULTS_TYPES, row) from None
+        if row[1] not in TECHNIQUES:
+            raise MassTableParseError(line_no, f"unknown augmentation {row[1]!r}")
+        rows.append(dict(zip(RESULTS_COLUMNS, row)))
+    return rows
 
 
 def dataset_tag(split: DatasetSplit,
@@ -222,30 +251,24 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+# the TrialResult fields a trial's cache file holds; wall_time may be absent
+_CACHED_FIELDS = ("rms_test", "rms_extrapolation", "final_train_loss", "status",
+                  "wall_time")
+
+
 def _cached_result(spec: TrialSpec, cache_dir: str, data_tag: str) -> TrialResult | None:
     """The stored result, or None if it is missing, unreadable or partial."""
     path = os.path.join(cache_dir, spec.cache_key(data_tag) + ".json")
     try:
         with open(path) as fh:
-            payload = json.load(fh)
-        return TrialResult(spec=spec,
-                           rms_test=payload["rms_test"],
-                           rms_extrapolation=payload["rms_extrapolation"],
-                           final_train_loss=payload["final_train_loss"],
-                           status=payload["status"],
-                           wall_time=payload.get("wall_time", 0.0))
+            payload = {"wall_time": 0.0, **json.load(fh)}
+        return TrialResult(spec=spec, **{name: payload[name] for name in _CACHED_FIELDS})
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
 
 
 def _store_result(res: TrialResult, cache_dir: str, data_tag: str) -> None:
-    payload = {
-        "rms_test": res.rms_test,
-        "rms_extrapolation": res.rms_extrapolation,
-        "final_train_loss": res.final_train_loss,
-        "status": res.status,
-        "wall_time": res.wall_time,
-    }
+    payload = {name: getattr(res, name) for name in _CACHED_FIELDS}
     path = os.path.join(cache_dir, res.spec.cache_key(data_tag) + ".json")
     _atomic_write(path, json.dumps(payload, sort_keys=True) + "\n")
 
@@ -350,14 +373,7 @@ def write_manifest(path, *, split: DatasetSplit, extrapolation, seeds, levels,
         "input_standardize": input_standardize,
         "target_standardize": target_standardize,
         "activation": activation,
-        "optimizer": {
-            "algorithm": optimizer.algorithm,
-            "learning_rate": optimizer.learning_rate,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "epsilon": optimizer.epsilon,
-            "rmsprop_decay": optimizer.rmsprop_decay,
-        },
+        "optimizer": asdict(optimizer),
         "levels": [list(level) for level in levels],
         "architectures": [{"hidden_widths": list(w), "epochs": e, "batch": b}
                           for w, e, b in architectures],

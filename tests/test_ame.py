@@ -159,6 +159,39 @@ class TestParsing:
         with pytest.raises(MassTableParseError):
             ame.parse_mass_table(bad, "AME2016")
 
+    @staticmethod
+    def spliced(text, edition, junk):
+        """The header and first five records of a shipped table, with the
+        third record's fields (`junk`: column attribute -> text) replaced."""
+        layout = ame.LAYOUTS[edition]
+        lines = text.decode("ascii").splitlines()[:layout.header_lines + 5]
+        row = layout.header_lines + 2
+        for field, value in junk.items():
+            start, end = getattr(layout, field)
+            lines[row] = lines[row][:start] + value.rjust(end - start) + lines[row][end:]
+        return "\n".join(lines), row + 1
+
+    @pytest.mark.parametrize("edition", sorted(ame.LAYOUTS))
+    @pytest.mark.parametrize("junk, message", [
+        ({"col_n": "1x"}, "non-numeric N field '1x'"),
+        ({"col_z": "z8"}, "non-numeric Z field 'z8'"),
+        ({"col_a": "1.5"}, "non-numeric A field '1.5'"),
+        ({"col_bea": "7.9x1"}, "non-numeric BE/A field '7.9x1'"),
+        ({"col_bea_err": "0.1.2"}, "non-numeric BE/A uncertainty field '0.1.2'"),
+        # fields are checked in column order, and the energies need A
+        ({"col_a": "a", "col_bea": "b"}, "non-numeric A field 'a'"),
+        ({"col_z": "z", "col_bea_err": "e"}, "non-numeric Z field 'z'"),
+        ({"col_bea": "b", "col_bea_err": "e"}, "non-numeric BE/A field 'b'"),
+        ({"col_bea": "nan", "col_bea_err": "e"}, "BE/A field 'nan' is not a finite energy"),
+    ])
+    def test_field_error_names_line_and_field(self, mass16_text, mass20_text,
+                                              edition, junk, message):
+        text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
+        bad, line_no = self.spliced(text, edition, junk)
+        with pytest.raises(MassTableParseError) as exc:
+            ame.parse_mass_table(bad, edition)
+        assert str(exc.value) == f"line {line_no}: {message}"
+
     @pytest.mark.parametrize("edition", sorted(ame.LAYOUTS))
     @pytest.mark.parametrize("field", ["col_bea", "col_bea_err"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
@@ -166,16 +199,11 @@ class TestParsing:
                                        edition, field, value):
         # float() reads nan and inf, and 1e308 keV per nucleon overflows
         # once multiplied by A (3 here); none of them may load as a record
-        layout = ame.LAYOUTS[edition]
         text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
-        lines = text.decode("ascii").splitlines()[:layout.header_lines + 5]
-        col = getattr(layout, field)
-        row = layout.header_lines + 2
-        lines[row] = lines[row][:col[0]] + value.rjust(col[1] - col[0]) + lines[row][col[1]:]
-        bad = "\n".join(lines)
+        bad, line_no = self.spliced(text, edition, {field: value})
         with pytest.raises(MassTableParseError) as exc:
             ame.parse_mass_table(bad, edition)
-        assert exc.value.line_no == row + 1
+        assert exc.value.line_no == line_no
         name = "BE/A uncertainty" if field == "col_bea_err" else "BE/A"
         assert f"{name} field {value!r}" in str(exc.value)
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv):
+    """``nucaug <argv>`` in a process of its own, which sees the real standard
+    error: pytest collects numpy's warnings before they could reach it."""
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "nucaug.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def toy_records(n=40, seed=0):
@@ -92,7 +103,7 @@ class TestAugment:
                                "gaussian", "--k", "2", "--out", out], capsys)
         assert code == 0
         assert "rows: 120" in stdout
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["technique"] == "gaussian" and manifest["k"] == 2
 
     def test_error_technique(self, records_csv, tmp_path, capsys):
@@ -162,20 +173,26 @@ class TestTrainEvaluate:
          "non-finite parameters after epoch 1"),
     ])
     def test_overflow_is_one_line(self, tmp_path, energies, options, message):
-        # in a process of its own, because pytest collects numpy's warnings
-        # before they could reach standard error
         path = tmp_path / "records.csv"
         path.write_text(",".join(ame.CSV_COLUMNS) + "\n"
                         + f"8,8,16,{energies[0]},0.01,0\n8,9,17,{energies[1]},0.01,0\n")
-        src = os.path.join(ROOT, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nucaug.cli", "train", str(path), "--arch", "4",
-             "--batch", "8", *options, "--out", str(tmp_path / "m.npz")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_process(["train", str(path), "--arch", "4", "--batch", "8", *options,
+                            "--out", str(tmp_path / "m.npz")])
         assert proc.returncode == cli.EXIT_DATA
         assert proc.stderr == f"data error: {message}\n"
+
+    def test_evaluate_overflow_is_one_line(self, records_csv, tmp_path, capsys):
+        model = str(tmp_path / "model.npz")
+        assert run(["train", records_csv, "--arch", "4", "--epochs", "1", "--batch", "8",
+                    "--out", model], capsys)[0] == cli.EXIT_OK
+        # the squared errors overflow
+        path = tmp_path / "huge.csv"
+        path.write_text(",".join(ame.CSV_COLUMNS) + "\n8,8,16,1e300,0.01,0\n8,9,17,1,0.01,0\n")
+        pred = tmp_path / "pred.csv"
+        proc = run_process(["evaluate", model, str(path), "--out", str(pred)])
+        assert proc.returncode == cli.EXIT_DATA
+        assert proc.stderr == "data error: rms over 2 nuclei is not finite: inf\n"
+        assert proc.stdout == "" and not pred.exists()
 
     @pytest.mark.parametrize("header", [ame.CSV_COLUMNS, augment.AUGMENTED_CSV_COLUMNS])
     def test_csv_not_utf8_is_data_error(self, tmp_path, capsys, header):
@@ -189,6 +206,47 @@ class TestTrainEvaluate:
             code, _, err = run(argv, capsys)
             assert code == cli.EXIT_DATA
             assert err == f"data error: {path} is not UTF-8 text\n"
+
+
+class TestUnreadablePaths:
+    """A path that cannot be opened as the command needs is a data error:
+    one line on standard error and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "{dir}", "--edition", "AME2016"],
+        ["augment", "{dir}", "--technique", "error", "--out", "{tmp}/aug.csv"],
+        ["train", "{dir}", "--arch", "4", "--epochs", "1", "--batch", "8",
+         "--out", "{tmp}/m.npz"],
+        ["evaluate", "{dir}", "{tmp}/x.csv"],
+        ["report", "{dir}", "--figure", "table2", "--out", "{tmp}"],
+        ["report", "--figure", "fig2", "--records", "{dir}", "--nuclide", "8,16",
+         "--out", "{tmp}"],
+        # outputs
+        ["ingest", MASS16, "--edition", "AME2016", "--out-csv", "{dir}"],
+        ["augment", "{records}", "--technique", "error", "--out", "{dir}"],
+        ["report", "--figure", "fig2", "--records", "{records}", "--nuclide", "8,16",
+         "--out", "{file}"],
+        ["sweep", "--config", "{config}", "--out", "{file}"],
+    ])
+    def test_is_data_error(self, argv, records_csv, tmp_path, capsys):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        file = tmp_path / "file"
+        file.write_text("")
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20))
+        argv = [arg.format(dir=directory, tmp=tmp_path, records=records_csv, file=file,
+                           config=config) for arg in argv]
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith("data error: [Errno ") and err.count("\n") == 1
+        assert f"{directory}" in err or f"{file}" in err
+
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(["sweep", "--config", str(tmp_path), "--out",
+                            str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == f"error: cannot read config file {tmp_path}: Is a directory\n"
 
 
 SWEEP_CONFIG = """\
@@ -215,36 +273,34 @@ class TestSweep:
     def test_sweep_and_resume(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
         config.write_text(SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20))
-        out_dir = str(tmp_path / "out")
+        out_dir = tmp_path / "out"
         code, stdout, _ = run(["sweep", "--config", str(config),
-                               "--out", out_dir], capsys)
+                               "--out", str(out_dir)], capsys)
         assert code == 0
         assert "completed 4 trials, 0 failed" in stdout
-        results = open(os.path.join(out_dir, "results.csv")).read()
+        results = (out_dir / "results.csv").read_text()
         assert results.count("\n") == 5  # header + 4 trials
-        manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
+        manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["n_train"] == 1685
         assert manifest["n_extrapolation"] == 71
         assert manifest["augmentation_sizes"]["gaussian_1"] == 3370
 
         code, stdout, _ = run(["sweep", "--config", str(config),
-                               "--out", out_dir], capsys)
+                               "--out", str(out_dir)], capsys)
         assert code == 0
         assert stdout.count("(cached)") == 4
-        assert open(os.path.join(out_dir, "results.csv")).read() == results
+        assert (out_dir / "results.csv").read_text() == results
 
         # a truncated cache file is a miss: only that trial runs again
-        trials = os.path.join(out_dir, "trials")
-        victim = os.path.join(trials, sorted(os.listdir(trials))[0])
-        text = open(victim).read()
-        with open(victim, "w") as fh:
-            fh.write(text[:len(text) // 2])
+        victim = sorted((out_dir / "trials").iterdir())[0]
+        text = victim.read_text()
+        victim.write_text(text[:len(text) // 2])
         code, stdout, _ = run(["sweep", "--config", str(config),
-                               "--out", out_dir], capsys)
+                               "--out", str(out_dir)], capsys)
         assert code == 0
         assert stdout.count("(cached)") == 3
-        assert open(os.path.join(out_dir, "results.csv")).read() == results
-        rewritten = json.loads(open(victim).read())
+        assert (out_dir / "results.csv").read_text() == results
+        rewritten = json.loads(victim.read_text())
         assert rewritten.pop("wall_time") > 0
         assert rewritten == {k: v for k, v in json.loads(text).items()
                              if k != "wall_time"}
@@ -288,7 +344,7 @@ class TestSweepConfig:
     VALID = SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20)
 
     def test_readme_config_loads(self, tmp_path):
-        readme = open(os.path.join(ROOT, "README.md")).read()
+        readme = Path(ROOT, "README.md").read_text()
         block = re.search(r"^\[data\]$.*?^\[optimizer\]$[^`]*", readme,
                           re.M | re.S).group(0)
         config = tmp_path / "sweep.ini"
@@ -370,19 +426,34 @@ CSV_JUNK = st.one_of(
     st.text(max_size=40),
 )
 ENERGY = st.one_of(st.floats(0, 3000), st.floats())
+RESULTS_HEADER = ",".join(experiment.RESULTS_COLUMNS)
+METRIC = st.one_of(st.just(""), ENERGY.map(repr), st.sampled_from(["0", "-1"]))
+# a results row that reads, though its values may make no sense; the junk
+# line of csv_texts and TestStrictResultsCsv supply the rows that do not.
+# One optimizer and activation, so that most texts reach a figure builder.
+RESULTS_RECORD = st.builds(
+    lambda *fields: ",".join(map(str, fields)),
+    st.sampled_from(["128", "32-16-8", "32-32", "0"]),
+    st.sampled_from(["none", "error", "gaussian"]), st.integers(0, 6), st.just("adam,relu"),
+    st.one_of(st.integers(0, 9), st.integers()), METRIC, METRIC, METRIC,
+    st.integers(1, 5000), st.sampled_from([32, 64]),
+    st.sampled_from(["ok", "failed: diverged"]))
 
 
 @st.composite
 def csv_texts(draw):
-    """A canonical, augmented or other header, then records of the header's
-    width, with a junk line among them half of the time."""
+    """A canonical, augmented, results or other header, then records of the
+    header's width, with a junk line among them half of the time."""
     header = draw(st.sampled_from([",".join(ame.CSV_COLUMNS),
-                                   ",".join(augment.AUGMENTED_CSV_COLUMNS), None]))
+                                   ",".join(augment.AUGMENTED_CSV_COLUMNS),
+                                   RESULTS_HEADER, None]))
     origin = (st.just("") if header == ",".join(ame.CSV_COLUMNS)
               else st.sampled_from(["original", "gauss_1", '"x,y"']))
     record = st.builds(csv_record, st.one_of(st.integers(0, 120), st.integers()),
                        st.integers(0, 180), ENERGY, ENERGY, st.sampled_from([0, 1]), origin)
-    if header is None:
+    if header == RESULTS_HEADER:
+        record = RESULTS_RECORD
+    elif header is None:
         header = draw(CSV_JUNK)
     lines = draw(st.lists(record, max_size=6))
     if draw(st.booleans()):
@@ -391,9 +462,10 @@ def csv_texts(draw):
 
 
 class TestCsvReaderFuzz:
-    """Any text given to `nucaug augment` (canonical reader) and `nucaug
-    train` (canonical or augmented reader) loads with finite energies, or
-    the command exits 1 or 2 with one line on standard error."""
+    """Any text given to `nucaug augment` (canonical reader), `nucaug train`
+    (canonical or augmented reader) and `nucaug report` (results reader)
+    loads, with finite energies for the first two, or the command exits 1 or
+    2 with one line on standard error."""
 
     @given(text=csv_texts())
     @settings(max_examples=150, deadline=None)
@@ -410,12 +482,18 @@ class TestCsvReaderFuzz:
             assert all(math.isfinite(r.be_total) and math.isfinite(r.be_err)
                        for r in records)
         loaded = loads_training_csv(path)
+        try:
+            results = experiment.read_results_csv(path)
+        except (MassTableParseError, DataIntegrityError):
+            results = None
 
         for argv, ok in (
                 (["augment", str(path), "--technique", "error",
                   "--out", str(base / "fuzz_aug.csv")], bool(records)),
                 (["train", str(path), "--arch", "4", "--epochs", "1", "--batch", "8",
-                  "--out", str(base / "fuzz_model.npz")], loaded)):
+                  "--out", str(base / "fuzz_model.npz")], loaded),
+                *((["report", str(path), "--figure", figure, "--out", str(base)],
+                   results is not None) for figure in ("table2", "fig4"))):
             stderr = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(stderr):
@@ -427,6 +505,67 @@ class TestCsvReaderFuzz:
                 assert code != cli.EXIT_OK
             elif argv[0] == "augment":
                 assert code == cli.EXIT_OK
+
+
+RESULTS_ROW = "32-16-8,none,0,adam,relu,0,2.0,2.5,0.1,3500,64,ok"
+
+
+class TestStrictResultsCsv:
+    """`nucaug report` reads the results CSV strictly: anything but the
+    results header, rows of its width, integer k, seed, epochs and batch,
+    and metrics that are empty or numbers is a data error naming the line."""
+
+    @pytest.mark.parametrize("text, message", [
+        (",".join(ame.CSV_COLUMNS) + "\n8,8,16,127.619,0.01,0\n",
+         f"line 1: unexpected CSV header {ame.CSV_COLUMNS}"),
+        ("", "line 1: unexpected CSV header None"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n32-16-8,none,0,adam\n",
+         "line 3: 4 fields, expected 12"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW},x\n", "line 2: 13 fields, expected 12"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',gaussian,x,')}\n",
+         "line 2: non-numeric k field 'x'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',relu,0,', ',relu,1.0,')}\n",
+         "line 2: non-numeric seed field '1.0'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',2.0 MeV,')}\n",
+         "line 2: non-numeric rms_test_mev field '2.0 MeV'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',3500,', ',3.5e3,')}\n",
+         "line 2: non-numeric epochs field '3.5e3'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '32-16-')}\n",
+         "line 2: non-numeric arch field '32-16-'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',none,', ',mixup,')}\n",
+         "line 3: unknown augmentation 'mixup'"),
+    ], ids=["canonical", "empty", "short", "long", "k", "seed", "rms", "epochs", "arch",
+            "augmentation"])
+    @pytest.mark.parametrize("figure", ["table1", "table2", "fig4", "fig6"])
+    def test_bad_results_is_data_error(self, tmp_path, capsys, text, message, figure):
+        path = tmp_path / "results.csv"
+        path.write_text(text)
+        with pytest.raises(MassTableParseError) as exc:
+            experiment.read_results_csv(path)
+        assert str(exc.value) == message
+        code, _, err = run(["report", str(path), "--figure", figure,
+                            "--out", str(tmp_path)], capsys)
+        assert (code, err) == (cli.EXIT_DATA, f"data error: {message}\n")
+
+    def test_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_bytes(f"{RESULTS_HEADER}\n{RESULTS_ROW}\n".encode() + b"\xff")
+        code, _, err = run(["report", str(path), "--figure", "table2",
+                            "--out", str(tmp_path)], capsys)
+        assert (code, err) == (cli.EXIT_DATA, f"data error: {path} is not UTF-8 text\n")
+
+    def test_empty_metrics_and_blank_lines_read(self, tmp_path, capsys):
+        # a failed trial has empty metrics; blank lines are skipped
+        failed = "32-16-8,none,0,adam,relu,1,,,,3500,64,failed: diverged"
+        path = tmp_path / "results.csv"
+        path.write_text(f"{RESULTS_HEADER}\n\n{RESULTS_ROW}\n{failed}\n\n")
+        rows = experiment.read_results_csv(path)
+        assert [list(row.values()) for row in rows] == [RESULTS_ROW.split(","),
+                                                       failed.split(",")]
+        code, _, _ = run(["report", str(path), "--figure", "table2",
+                          "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "table2.csv").read_text().splitlines()[1] == "32-16-8,2.000,,,,,"
 
 
 class TestReport:

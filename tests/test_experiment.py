@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -76,6 +77,10 @@ class TestMetrics:
             rms_error([1.0], [1.0, 2.0])
         with pytest.raises(ConfigurationError):
             rms_error([], [])
+
+    def test_rms_error_overflow_is_inf_without_warning(self):
+        # pytest turns a RuntimeWarning from the package into an error
+        assert rms_error([0.0, 0.0], [1e300, 1.0]) == math.inf
 
     def test_pct_change(self):
         assert pct_change(2.0, 1.0) == pytest.approx(50.0)
@@ -181,6 +186,37 @@ class TestResultTable:
         slow = TrialResult(spec=toy_spec(), rms_test=1.5, rms_extrapolation=None,
                            final_train_loss=0.2, status="ok", wall_time=456.0)
         assert row_fast == result_row(slow)
+
+
+class TestTrialCache:
+    RESULT = TrialResult(spec=toy_spec(), rms_test=1.5, rms_extrapolation=None,
+                         final_train_loss=0.25, status="ok", wall_time=3.0)
+    PAYLOAD = {"rms_test": 1.5, "rms_extrapolation": None, "final_train_loss": 0.25,
+               "status": "ok", "wall_time": 3.0}
+
+    def test_round_trip(self, tmp_path):
+        experiment._store_result(self.RESULT, str(tmp_path), "tag")
+        path = tmp_path / f"{self.RESULT.spec.cache_key('tag')}.json"
+        assert path.read_text() == json.dumps(self.PAYLOAD, sort_keys=True) + "\n"
+        assert experiment._cached_result(self.RESULT.spec, str(tmp_path), "tag") == self.RESULT
+
+    @pytest.mark.parametrize("text, wall_time", [
+        (json.dumps({k: v for k, v in PAYLOAD.items() if k != "wall_time"}), 0.0),
+        (json.dumps({k: v for k, v in PAYLOAD.items() if k != "status"}), None),
+        (json.dumps(list(PAYLOAD)), None),
+        ('"ok"', None),
+        (json.dumps(PAYLOAD)[:20], None),
+    ], ids=["no-wall-time", "no-status", "list", "string", "truncated"])
+    def test_older_or_partial_file(self, tmp_path, text, wall_time):
+        # a file from before wall_time was stored loads with 0.0; anything
+        # else that is not a complete payload is a cache miss
+        spec = self.RESULT.spec
+        (tmp_path / f"{spec.cache_key('tag')}.json").write_text(text)
+        cached = experiment._cached_result(spec, str(tmp_path), "tag")
+        if wall_time is None:
+            assert cached is None
+        else:
+            assert cached == dataclasses.replace(self.RESULT, wall_time=wall_time)
 
 
 class TestSweep:
