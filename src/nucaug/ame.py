@@ -201,6 +201,8 @@ def split_dataset(records: list[NuclideRecord], ratio: float, seed: int) -> Data
     """Deterministic shuffled split; first floor(ratio*N) records become train."""
     if not 0.0 < ratio < 1.0:
         raise ConfigurationError(f"split ratio must be in (0, 1), got {ratio}")
+    if seed < 0:
+        raise ConfigurationError(f"split seed must be >= 0, got {seed}")
     if not records:
         raise ConfigurationError("cannot split an empty record list")
     perm = np.random.default_rng(seed).permutation(len(records))
@@ -262,10 +264,12 @@ def csv_rows(path, columns: list[str]):
 
 def bad_field(line_no: int, columns, types, row) -> MassTableParseError:
     """The error for the first field of `row` that its type does not read,
-    or that reads as a non-finite float."""
+    or rejects with a ConfigurationError, or that reads as a non-finite float."""
     for name, kind, text in zip(columns, types, row):
         try:
             value = kind(text)
+        except ConfigurationError as exc:  # a number, but out of range
+            return MassTableParseError(line_no, f"{name} field {text!r}: {exc}")
         except ValueError:
             return MassTableParseError(line_no, f"non-numeric {name} field {text!r}")
         if isinstance(value, float) and not math.isfinite(value):

@@ -148,9 +148,12 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
                                 technique="gaussian", k=k, noise_seed=noise_seed)
 
 
+TECHNIQUES = ("none", "error", "gaussian")
+
+
 def apply(technique: str, k: int, train: list[NuclideRecord],
           noise_seed: int = 0) -> AugmentedTrainingSet:
-    """Dispatch on technique name ("none", "error", "gaussian")."""
+    """Dispatch on technique name (one of TECHNIQUES)."""
     if technique == "none":
         return identity_set(train)
     if technique == "error":
@@ -158,6 +161,15 @@ def apply(technique: str, k: int, train: list[NuclideRecord],
     if technique == "gaussian":
         return gaussian_resample(train, k, noise_seed)
     raise ConfigurationError(f"unknown augmentation technique {technique!r}")
+
+
+def level_size(train: list[NuclideRecord], technique: str, k: int) -> int:
+    """len(apply(technique, k, train).rows), without augmenting."""
+    if technique == "gaussian":
+        return len(train) * (1 + k)
+    if technique == "error":
+        return 3 * len(train) - 2 * sum(1 for r in train if r.be_err == 0)
+    return len(train)
 
 
 AUGMENTED_CSV_COLUMNS = ["z", "n", "a", "be_total_mev", "be_err_mev", "estimated", "origin"]

@@ -18,7 +18,7 @@ import sys
 from . import __version__, ame, augment, experiment, network, report
 from .errors import (ConfigurationError, DataIntegrityError, IncompleteDataError,
                      MassTableParseError, TrainingDivergedError)
-from .optimizers import OptimizerConfig
+from .optimizers import ALGORITHMS, OptimizerConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,27 +37,17 @@ def _parse_seeds(text: str) -> list[int]:
     seeds = []
     for token in text.replace(",", " ").split():
         if ".." in token:
-            lo, hi = token.split("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, token.split(".."))
+            if lo > hi:
+                raise ValueError(f"descending seed range {token!r}")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(token))
-    if not seeds:
-        raise ConfigurationError("seeds list is empty")
     return seeds
 
 
 def _parse_levels(text: str) -> list[tuple[str, int]]:
-    levels = []
-    for token in text.replace(",", " ").split():
-        if token in ("none", "error"):
-            levels.append((token, 0))
-        elif token.startswith("gaussian"):
-            levels.append(("gaussian", int(token[len("gaussian"):])))
-        else:
-            raise ConfigurationError(f"unknown augmentation level {token!r}")
-    if not levels:
-        raise ConfigurationError("levels list is empty")
-    return levels
+    return [experiment.parse_level(token) for token in text.replace(",", " ").split()]
 
 
 def _parse_architectures(text: str) -> list[tuple[tuple[int, ...], int, int]]:
@@ -67,14 +57,11 @@ def _parse_architectures(text: str) -> list[tuple[tuple[int, ...], int, int]]:
     for token in text.replace(",", " ").split():
         try:
             widths, epochs, batch = token.split(":")
-            archs.append((tuple(int(w) for w in widths.split("-")),
-                          int(epochs), int(batch)))
+            archs.append((network.parse_arch(widths), int(epochs), int(batch)))
         except ValueError:
             raise ConfigurationError(
                 f"bad architecture token {token!r}; expected WIDTHS:EPOCHS:BATCH"
                 " like 32-16-8:3500:64") from None
-    if not archs:
-        raise ConfigurationError("architecture list is empty")
     return archs
 
 
@@ -120,7 +107,7 @@ def _load_training_rows(path) -> augment.AugmentedTrainingSet:
 def cmd_train(args) -> int:
     train_set = _load_training_rows(args.train_csv)
     try:
-        widths = tuple(int(w) for w in args.arch.split("-"))
+        widths = network.parse_arch(args.arch)
     except ValueError:
         raise ConfigurationError(
             f"bad --arch {args.arch!r}; expected hyphenated widths like 32-16-8"
@@ -321,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="augment a canonical CSV of training records")
     p.add_argument("records_csv")
-    p.add_argument("--technique", required=True, choices=experiment.TECHNIQUES)
+    p.add_argument("--technique", required=True, choices=augment.TECHNIQUES)
     p.add_argument("--k", type=int, default=1, help="gaussian resample count")
     p.add_argument("--noise-seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -334,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--batch", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--optimizer", default="adam",
-                   choices=["adam", "nadam", "adamax", "rmsprop"])
+    p.add_argument("--optimizer", default="adam", choices=ALGORITHMS)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--beta1", type=float, default=0.9)
     p.add_argument("--beta2", type=float, default=0.99)

@@ -24,10 +24,8 @@ import numpy as np
 from . import augment
 from .ame import DatasetSplit, NuclideRecord, bad_field, csv_rows, write_csv
 from .errors import ConfigurationError, MassTableParseError, TrainingDivergedError
-from .network import NetworkSpec, TrainConfig, train
+from .network import NetworkSpec, TrainConfig, arch_label, parse_arch, train
 from .optimizers import OptimizerConfig
-
-TECHNIQUES = ("none", "error", "gaussian")
 
 # (hidden widths, epochs, batch size) used throughout the baseline study
 ARCH_SETTINGS: list[tuple[tuple[int, ...], int, int]] = [
@@ -63,6 +61,20 @@ def pct_change(baseline: float, augmented: float) -> float:
     return 100.0 * (baseline - augmented) / baseline
 
 
+def level_label(technique: str, k: int) -> str:
+    """The label of an augmentation level: "none", "error" or "gaussian<k>"."""
+    return f"gaussian{k}" if technique == "gaussian" else technique
+
+
+def parse_level(text: str) -> tuple[str, int]:
+    """The (technique, k) a level label names; ValueError for any other text."""
+    gaussian = text.startswith("gaussian")
+    technique, k = ("gaussian", text.removeprefix("gaussian")) if gaussian else (text, "0")
+    if technique not in augment.TECHNIQUES or not k.isdecimal():
+        raise ValueError(f"unknown augmentation level {text!r}")
+    return technique, int(k)
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     hidden_widths: tuple[int, ...]
@@ -78,8 +90,9 @@ class TrialSpec:
     def __post_init__(self):
         # reject what run_trial would reject, before any trial of a sweep trains
         NetworkSpec(hidden_widths=self.hidden_widths, activation=self.activation)
-        TrainConfig(epochs=self.epochs, batch_size=self.batch_size)
-        if self.technique not in TECHNIQUES:
+        TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
+                    init_seed=self.seed, shuffle_seed=self.seed)
+        if self.technique not in augment.TECHNIQUES:
             raise ConfigurationError(f"unknown augmentation technique {self.technique!r}")
         if self.technique == "gaussian" and (self.k < 1 or self.noise_seed < 0):
             raise ConfigurationError(
@@ -88,11 +101,11 @@ class TrialSpec:
 
     @property
     def arch_label(self) -> str:
-        return "-".join(str(w) for w in self.hidden_widths)
+        return arch_label(self.hidden_widths)
 
     @property
     def level_label(self) -> str:
-        return f"gaussian{self.k}" if self.technique == "gaussian" else self.technique
+        return level_label(self.technique, self.k)
 
     def cache_key(self, data_tag: str) -> str:
         # "std=True;tstd=True" names the z-scoring that training always does;
@@ -197,29 +210,25 @@ class ResultTable:
         write_csv(path, RESULTS_COLUMNS, map(result_row, self.sorted_trials()))
 
 
-def _widths(text: str) -> tuple[int, ...]:
-    return tuple(int(w) for w in text.split("-"))
-
-
 def _number_or_empty(text: str) -> str:
-    """A metric: empty for a failed trial, else anything float reads, nan and
-    inf included (returned as text, so bad_field does not reject those)."""
-    if text:
-        float(text)
+    """A metric: empty for a failed trial, else a number >= 0, nan or inf
+    (returned as text, so bad_field does not reject those)."""
+    if text and float(text) < 0:
+        raise ConfigurationError("a metric must not be negative")
     return text
 
 
 # what each results column must read as
-_RESULTS_TYPES = (_widths, str, int, str, str, int, _number_or_empty, _number_or_empty,
+_RESULTS_TYPES = (parse_arch, str, int, str, str, int, _number_or_empty, _number_or_empty,
                   _number_or_empty, int, int, str)
 
 
 def read_results_csv(path) -> list[dict]:
     """Result rows, as dicts of their CSV text, from a ResultTable.write_csv
     file. A wrong header, a short or long row, an arch that is not hyphenated
-    integers, an unknown augmentation, a k, seed, epochs or batch that is not
-    an integer, or a metric that is neither empty nor a number raises
-    MassTableParseError naming the line."""
+    integers >= 1, an unknown augmentation, a k, seed, epochs or batch that
+    is not an integer, or a metric that is neither empty nor a number >= 0
+    raises MassTableParseError naming the line."""
     rows = []
     for line_no, row in csv_rows(path, RESULTS_COLUMNS):
         try:
@@ -227,7 +236,7 @@ def read_results_csv(path) -> list[dict]:
                 kind(text)
         except ValueError:
             raise bad_field(line_no, RESULTS_COLUMNS, _RESULTS_TYPES, row) from None
-        if row[1] not in TECHNIQUES:
+        if row[1] not in augment.TECHNIQUES:
             raise MassTableParseError(line_no, f"unknown augmentation {row[1]!r}")
         rows.append(dict(zip(RESULTS_COLUMNS, row)))
     return rows
@@ -279,10 +288,17 @@ def build_trial_specs(architectures, levels, seeds, optimizer: OptimizerConfig,
 
     architectures: (hidden_widths, epochs, batch) triples;
     levels: ("none"|"error"|"gaussian", k) pairs. Every spec is validated
-    here, so a bad setting fails before any trial runs.
+    here, so a bad setting, an empty axis or a repeated value on an axis
+    (hidden widths, level label or seed) fails before any trial runs.
     """
-    if not (architectures and levels and seeds):
-        raise ConfigurationError("sweep axes must be nonempty")
+    for axis, values in (("architectures", [arch_label(w) for w, _, _ in architectures]),
+                         ("levels", [level_label(*level) for level in levels]),
+                         ("seeds", list(seeds))):
+        if not values:
+            raise ConfigurationError(f"the sweep has no {axis}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigurationError(f"the sweep's {axis} repeat {repeated[0]}")
     specs = []
     for widths, epochs, batch in architectures:
         for technique, k in levels:
@@ -343,15 +359,6 @@ def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
     return table
 
 
-def _level_size(train: list[NuclideRecord], technique: str, k: int) -> int:
-    if technique == "gaussian":
-        return len(train) * (1 + k)
-    if technique == "error":
-        z0 = sum(1 for r in train if r.be_err == 0)
-        return 3 * len(train) - 2 * z0
-    return len(train)
-
-
 def write_manifest(path, *, split: DatasetSplit, extrapolation, seeds, levels,
                    architectures, optimizer: OptimizerConfig, activation: str,
                    noise_seed: int, input_standardize: bool = True,
@@ -378,7 +385,7 @@ def write_manifest(path, *, split: DatasetSplit, extrapolation, seeds, levels,
         "architectures": [{"hidden_widths": list(w), "epochs": e, "batch": b}
                           for w, e, b in architectures],
         "augmentation_sizes": {
-            f"{tech}_{k}": _level_size(split.train, tech, k)
+            f"{tech}_{k}": augment.level_size(split.train, tech, k)
             for tech, k in levels},
     }
     _atomic_write(str(path), json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -30,6 +30,19 @@ ACTIVATIONS = ("relu", "tanh", "sigmoid")
 MODEL_FORMAT_VERSION = 1
 
 
+def arch_label(widths) -> str:
+    """The label of a set of hidden widths, like "32-16-8"."""
+    return "-".join(map(str, widths))
+
+
+def parse_arch(text: str) -> tuple[int, ...]:
+    """The hidden widths an arch label names; ValueError unless each is an integer >= 1."""
+    widths = tuple(int(w) for w in text.split("-"))
+    if min(widths) < 1:
+        raise ConfigurationError("hidden widths must be >= 1")
+    return widths
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     hidden_widths: tuple[int, ...]
@@ -52,7 +65,7 @@ class NetworkSpec:
 
     @property
     def arch_label(self) -> str:
-        return "-".join(str(w) for w in self.hidden_widths)
+        return arch_label(self.hidden_widths)
 
 
 def param_count(spec: NetworkSpec) -> int:
@@ -189,6 +202,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
+        if min(self.init_seed, self.shuffle_seed) < 0:
+            raise ConfigurationError("seeds must be >= 0")
 
 
 @dataclass

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import augment
 from .ame import NuclideRecord
-from .errors import ConfigurationError, IncompleteDataError
-from .experiment import pct_change
-from .network import NetworkSpec, param_count
+from .errors import ConfigurationError, DataIntegrityError, IncompleteDataError
+from .experiment import level_label, parse_level, pct_change
+from .network import NetworkSpec, param_count, parse_arch
 
 # figure id -> builder over results-CSV rows; fig2 takes a nuclide instead.
 # The lambdas look each function up when called, so a wrapper installed on a
@@ -47,10 +47,10 @@ STABILITY_ARCH = "32-16-8"
 STABILITY_LEVELS = ["none", "gaussian2", "gaussian5"]
 
 
-def _level(row: dict) -> str:
-    if row["augmentation"] == "gaussian":
-        return f"gaussian{row['k']}"
-    return row["augmentation"]
+def _cell(row: dict) -> tuple[str, str, int]:
+    """(arch, technique, k) of a row, with k = 0 for none and error."""
+    technique = row["augmentation"]
+    return row["arch"], technique, int(row["k"]) if technique == "gaussian" else 0
 
 
 def _metric(row: dict, column: str) -> float | None:
@@ -59,14 +59,14 @@ def _metric(row: dict, column: str) -> float | None:
     return float(row[column])
 
 
-def _group_means(rows: list[dict], column: str) -> dict[tuple[str, str, str, str], float]:
-    """(arch, level, optimizer, activation) -> mean over seeds."""
+def _group_means(rows: list[dict], column: str, key=_cell) -> dict[tuple, float]:
+    """key(row) -> mean of the column over the rows that have a value."""
     acc = defaultdict(list)
     for row in rows:
         value = _metric(row, column)
         if value is not None:
-            acc[(row["arch"], _level(row), row["optimizer"], row["activation"])].append(value)
-    return {key: float(np.mean(vals)) for key, vals in acc.items()}
+            acc[key(row)].append(value)
+    return {cell: float(np.mean(vals)) for cell, vals in acc.items()}
 
 
 def _one_setting(rows: list[dict]) -> None:
@@ -79,11 +79,7 @@ def _one_setting(rows: list[dict]) -> None:
 
 
 def _archs_in(rows: list[dict]) -> list[str]:
-    seen = []
-    for row in rows:
-        if row["arch"] not in seen:
-            seen.append(row["arch"])
-    return seen
+    return list(dict.fromkeys(row["arch"] for row in rows))
 
 
 def table_error_augmentation(rows: list[dict]) -> tuple[list[str], list[list]]:
@@ -95,14 +91,14 @@ def table_error_augmentation(rows: list[dict]) -> tuple[list[str], list[list]]:
     out = []
     for arch in _archs_in(rows):
         meta = next(r for r in rows if r["arch"] == arch)
-        base = [v for (a, lvl, _, _), v in means.items() if a == arch and lvl == "none"]
-        aug = [v for (a, lvl, _, _), v in means.items() if a == arch and lvl == "error"]
-        if not base or not aug:
+        base, aug = means.get((arch, "none", 0)), means.get((arch, "error", 0))
+        if base is None or aug is None:
             raise IncompleteDataError([(arch, "none"), (arch, "error")])
-        widths = tuple(int(w) for w in arch.split("-"))
-        out.append([arch, param_count(NetworkSpec(widths)), meta["epochs"], meta["batch"],
-                    f"{base[0]:.3f}", f"{aug[0]:.3f}",
-                    f"{pct_change(base[0], aug[0]):.3f}"])
+        if base <= 0:
+            raise DataIntegrityError(f"arch {arch}: baseline rms must be > 0, got {base}")
+        out.append([arch, param_count(NetworkSpec(parse_arch(arch))), meta["epochs"],
+                    meta["batch"], f"{base:.3f}", f"{aug:.3f}",
+                    f"{pct_change(base, aug):.3f}"])
     return header, out
 
 
@@ -111,15 +107,12 @@ def table_gaussian(rows: list[dict], column: str = "rms_test_mev",
     """Mean rms per architecture for k = 0 (none) .. max_k gaussian passes."""
     _one_setting(rows)
     means = _group_means(rows, column)
-    levels = ["none"] + [f"gaussian{k}" for k in range(1, max_k + 1)]
+    levels = [("none", 0)] + [("gaussian", k) for k in range(1, max_k + 1)]
     header = ["arch"] + [f"rms_k{k}_mev" for k in range(0, max_k + 1)]
     out = []
     for arch in _archs_in(rows):
-        cells = []
-        for lvl in levels:
-            vals = [v for (a, l, _, _), v in means.items() if a == arch and l == lvl]
-            cells.append(f"{vals[0]:.3f}" if vals else "")
-        out.append([arch] + cells)
+        cells = [means.get((arch, *level)) for level in levels]
+        out.append([arch] + ["" if v is None else f"{v:.3f}" for v in cells])
     return header, out
 
 
@@ -132,9 +125,8 @@ def rms_vs_resampling(rows: list[dict], archs: list[str] | None = None,
     header = ["arch", "resamples", "mean_rms_mev"]
     out = []
     for arch in archs:
-        pairs = sorted((0 if lvl == "none" else int(lvl.removeprefix("gaussian")), v)
-                       for (a, lvl, _, _), v in means.items()
-                       if a == arch and lvl != "error")
+        pairs = sorted((k, v) for (a, technique, k), v in means.items()
+                       if a == arch and technique != "error")
         for k, v in pairs:
             out.append([arch, k, f"{v:.3f}"])
     if not out:
@@ -151,9 +143,9 @@ def per_seed_traces(rows: list[dict], arch: str = STABILITY_ARCH,
     header = ["level", "seed", "rms_mev"]
     out = []
     for lvl in levels:
+        cell = (arch, *parse_level(lvl))
         cells = sorted((int(r["seed"]), _metric(r, column)) for r in rows
-                       if r["arch"] == arch and _level(r) == lvl
-                       and _metric(r, column) is not None)
+                       if _cell(r) == cell and _metric(r, column) is not None)
         if not cells:
             raise IncompleteDataError([(arch, lvl)])
         for seed, v in cells:
@@ -161,34 +153,28 @@ def per_seed_traces(rows: list[dict], arch: str = STABILITY_ARCH,
     return header, out
 
 
-def optimizer_comparison(rows: list[dict], arch: str = STABILITY_ARCH,
-                         column: str = "rms_test_mev") -> tuple[list[str], list[list]]:
-    means = _group_means(rows, column)
-    header = ["optimizer", "arch", "resamples", "mean_rms_mev"]
-    out = []
-    for (a, lvl, opt, _), v in sorted(means.items(), key=lambda kv: (kv[0][2], kv[0][1])):
-        if a != arch or lvl == "error":
-            continue
-        k = 0 if lvl == "none" else int(lvl.removeprefix("gaussian"))
-        out.append([opt, a, k, f"{v:.3f}"])
+def _setting_comparison(rows: list[dict], setting: str, arch: str,
+                        column: str) -> tuple[list[str], list[list]]:
+    """Mean rms of one arch per setting value and level, ordered by both."""
+    means = _group_means(rows, column, key=lambda row: (row[setting], *_cell(row)))
+    header = [setting, "arch", "resamples", "mean_rms_mev"]
+    cells = sorted((value, level_label(technique, k), k, v)
+                   for (value, a, technique, k), v in means.items()
+                   if a == arch and technique != "error")
+    out = [[value, arch, k, f"{v:.3f}"] for value, _, k, v in cells]
     if not out:
         raise IncompleteDataError([arch])
     return header, out
+
+
+def optimizer_comparison(rows: list[dict], arch: str = STABILITY_ARCH,
+                         column: str = "rms_test_mev") -> tuple[list[str], list[list]]:
+    return _setting_comparison(rows, "optimizer", arch, column)
 
 
 def activation_comparison(rows: list[dict], arch: str = STABILITY_ARCH,
                           column: str = "rms_test_mev") -> tuple[list[str], list[list]]:
-    means = _group_means(rows, column)
-    header = ["activation", "arch", "resamples", "mean_rms_mev"]
-    out = []
-    for (a, lvl, _, act), v in sorted(means.items(), key=lambda kv: (kv[0][3], kv[0][1])):
-        if a != arch or lvl == "error":
-            continue
-        k = 0 if lvl == "none" else int(lvl.removeprefix("gaussian"))
-        out.append([act, a, k, f"{v:.3f}"])
-    if not out:
-        raise IncompleteDataError([arch])
-    return header, out
+    return _setting_comparison(rows, "activation", arch, column)
 
 
 def gaussian_illustration(record: NuclideRecord, k: int,

@@ -343,6 +343,10 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             ame.split_dataset([], 0.7, 0)
 
+    def test_negative_seed(self, experimental16):
+        with pytest.raises(ConfigurationError, match="split seed must be >= 0, got -1"):
+            ame.split_dataset(experimental16, 0.7, -1)
+
     @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
            ratio=st.floats(0.05, 0.95))
     @settings(max_examples=30, deadline=None)

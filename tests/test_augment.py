@@ -161,6 +161,15 @@ class TestApply:
         with pytest.raises(ConfigurationError):
             augment.apply("mixup", 0, SAMPLE)
 
+    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0), ("gaussian", 1),
+                                              ("gaussian", 5)])
+    def test_level_size_is_the_augmented_size(self, split, technique, k):
+        # the size the sweep manifest records, against the real augmentation
+        rows = augment.apply(technique, k, split.train, noise_seed=3).rows
+        assert augment.level_size(split.train, technique, k) == len(rows)
+        assert augment.level_size(SAMPLE, technique, k) == len(
+            augment.apply(technique, k, SAMPLE).rows)
+
 
 class TestAugmentedCsv:
     def test_round_trip(self, tmp_path):

@@ -162,6 +162,13 @@ class TestTrainEvaluate:
                           "--out", str(tmp_path / "m.npz")], capsys)
         assert code == cli.EXIT_USAGE
 
+    def test_negative_seed_usage_error(self, records_csv, tmp_path, capsys):
+        code, _, err = run(["train", records_csv, "--arch", "4", "--epochs", "1",
+                            "--batch", "8", "--seed", "-1",
+                            "--out", str(tmp_path / "m.npz")], capsys)
+        assert (code, err) == (cli.EXIT_USAGE, "error: seeds must be >= 0\n")
+        assert not (tmp_path / "m.npz").exists()
+
     @pytest.mark.parametrize("energies, options, message", [
         # spread past float64 once squared
         (("1e300", "1"), ["--epochs", "3"], "non-finite training loss at epoch 1"),
@@ -368,6 +375,15 @@ class TestSweepConfig:
         ("[optimizer]", "[optimiser]"),
         ("algorithm = adam", "algorithm = adam\nlearning_rate = 5%"),
         ("levels = none gaussian1", "levels = none gaussian1 x"),
+        ("levels = none gaussian1", "levels = none gaussianx"),
+        ("seed = 5", "seed = -1"),
+        ("seeds = 0 1", "seeds = -1"),
+        ("seeds = 0 1", "seeds = 0 0"),
+        ("seeds = 0 1", "seeds = 0 5..3"),
+        ("seeds = 0 1", "seeds ="),
+        ("levels = none gaussian1", "levels = none gaussian1 none"),
+        ("architectures = 6-4:25:64", "architectures = 6-4:25:64 6-4:30:32"),
+        ("architectures = 6-4:25:64", "architectures = 0:25:64"),
     ])
     def test_bad_config_is_one_line_usage_error(self, old, new, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
@@ -376,6 +392,7 @@ class TestSweepConfig:
                             "--out", str(tmp_path / "out")], capsys)
         assert code == cli.EXIT_USAGE
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not list((tmp_path / "out").glob("trials/*.json"))
 
     LINES = st.one_of(
         st.sampled_from(["[data]", "[split]", "[sweep]", "[optimizer]",
@@ -428,8 +445,9 @@ CSV_JUNK = st.one_of(
 ENERGY = st.one_of(st.floats(0, 3000), st.floats())
 RESULTS_HEADER = ",".join(experiment.RESULTS_COLUMNS)
 METRIC = st.one_of(st.just(""), ENERGY.map(repr), st.sampled_from(["0", "-1"]))
-# a results row that reads, though its values may make no sense; the junk
-# line of csv_texts and TestStrictResultsCsv supply the rows that do not.
+# a results row of the right field types, though its values may make no
+# sense (the reader rejects an arch of 0 and a negative metric); the junk line
+# of csv_texts and TestStrictResultsCsv supply the rows of other types.
 # One optimizer and activation, so that most texts reach a figure builder.
 RESULTS_RECORD = st.builds(
     lambda *fields: ",".join(map(str, fields)),
@@ -465,7 +483,8 @@ class TestCsvReaderFuzz:
     """Any text given to `nucaug augment` (canonical reader), `nucaug train`
     (canonical or augmented reader) and `nucaug report` (results reader)
     loads, with finite energies for the first two, or the command exits 1 or
-    2 with one line on standard error."""
+    2 with one line on standard error; `report` on a text under the results
+    header exits 0 or 2, as its rows hold one optimizer and activation."""
 
     @given(text=csv_texts())
     @settings(max_examples=150, deadline=None)
@@ -493,7 +512,7 @@ class TestCsvReaderFuzz:
                 (["train", str(path), "--arch", "4", "--epochs", "1", "--batch", "8",
                   "--out", str(base / "fuzz_model.npz")], loaded),
                 *((["report", str(path), "--figure", figure, "--out", str(base)],
-                   results is not None) for figure in ("table2", "fig4"))):
+                   results is not None) for figure in ("table1", "table2", "fig4"))):
             stderr = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(stderr):
@@ -501,6 +520,8 @@ class TestCsvReaderFuzz:
             if code != cli.EXIT_OK:
                 assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
                 assert stderr.getvalue().count("\n") == 1
+            if argv[0] == "report" and text.startswith(RESULTS_HEADER + "\n"):
+                assert code in (cli.EXIT_OK, cli.EXIT_DATA)
             if not ok:
                 assert code != cli.EXIT_OK
             elif argv[0] == "augment":
@@ -534,8 +555,14 @@ class TestStrictResultsCsv:
          "line 2: non-numeric arch field '32-16-'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',none,', ',mixup,')}\n",
          "line 3: unknown augmentation 'mixup'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '32-0-8')}\n",
+         "line 2: arch field '32-0-8': hidden widths must be >= 1"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',-1,')}\n",
+         "line 2: rms_test_mev field '-1': a metric must not be negative"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',0.1,', ',-inf,')}\n",
+         "line 2: final_train_loss field '-inf': a metric must not be negative"),
     ], ids=["canonical", "empty", "short", "long", "k", "seed", "rms", "epochs", "arch",
-            "augmentation"])
+            "augmentation", "arch_width_0", "negative_rms", "negative_loss"])
     @pytest.mark.parametrize("figure", ["table1", "table2", "fig4", "fig6"])
     def test_bad_results_is_data_error(self, tmp_path, capsys, text, message, figure):
         path = tmp_path / "results.csv"
@@ -546,6 +573,19 @@ class TestStrictResultsCsv:
         code, _, err = run(["report", str(path), "--figure", figure,
                             "--out", str(tmp_path)], capsys)
         assert (code, err) == (cli.EXIT_DATA, f"data error: {message}\n")
+
+    def test_zero_baseline_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        error_row = RESULTS_ROW.replace(",none,", ",error,")
+        path.write_text(f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',0.0,')}\n"
+                        f"{error_row}\n")
+        code, _, err = run(["report", str(path), "--figure", "table1",
+                            "--out", str(tmp_path)], capsys)
+        assert (code, err) == (
+            cli.EXIT_DATA, "data error: arch 32-16-8: baseline rms must be > 0, got 0.0\n")
+        path.write_text(f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{error_row}\n")
+        assert run(["report", str(path), "--figure", "table1",
+                    "--out", str(tmp_path)], capsys)[0] == cli.EXIT_OK
 
     def test_not_utf8_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"

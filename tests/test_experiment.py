@@ -113,6 +113,23 @@ class TestTrialSpec:
         assert toy_spec(technique="gaussian", k=3).level_label == "gaussian3"
         assert toy_spec(hidden_widths=(32, 16, 8)).arch_label == "32-16-8"
 
+    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0), ("gaussian", 0),
+                                              ("gaussian", 1), ("gaussian", 5),
+                                              ("gaussian", 12)])
+    def test_parse_level_reads_every_label(self, technique, k):
+        label = experiment.level_label(technique, k)
+        assert experiment.parse_level(label) == (technique, k)
+
+    @pytest.mark.parametrize("text", ["gaussianx", "mixup", "gaussian", "5", "gaussian-1",
+                                      "Gaussian5", ""])
+    def test_parse_level_rejects(self, text):
+        with pytest.raises(ValueError, match="unknown augmentation level"):
+            experiment.parse_level(text)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seeds must be >= 0"):
+            toy_spec(seed=-1)
+
     def test_cache_key_sensitivity(self):
         base = toy_spec().cache_key("tag")
         assert toy_spec().cache_key("tag") == base
@@ -316,6 +333,20 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             build_trial_specs(self.AXES["architectures"], levels, [0],
                               OptimizerConfig(), activation)
+
+    @pytest.mark.parametrize("architectures, levels, seeds, message", [
+        ([((6, 4), 40, 8)], [("none", 0)], [0, -1], "seeds must be >= 0"),
+        ([((6, 4), 40, 8)], [("none", 0)], [0, 1, 0], "the sweep's seeds repeat 0"),
+        ([((6, 4), 40, 8)], [("gaussian", 2), ("none", 0), ("gaussian", 2)], [0],
+         "the sweep's levels repeat gaussian2"),
+        ([((6, 4), 40, 8), ((6, 4), 50, 16)], [("none", 0)], [0],
+         "the sweep's architectures repeat 6-4"),
+        ([((6, 4), 40, 8)], [("none", 0)], [], "the sweep has no seeds"),
+        ([((6, 4), 40, 8)], [], [0], "the sweep has no levels"),
+    ])
+    def test_bad_axis_rejected_up_front(self, architectures, levels, seeds, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            build_trial_specs(architectures, levels, seeds, OptimizerConfig(), "relu")
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,7 @@ from nucaug import network
 from nucaug.ame import NuclideRecord
 from nucaug.augment import gaussian_resample, identity_set
 from nucaug.errors import ConfigurationError
+from nucaug.experiment import ARCH_SETTINGS
 from nucaug.network import (NetworkParams, NetworkSpec, TrainConfig, backward,
                             forward, init_network, load_model, loss_mse,
                             param_count, save_model, train)
@@ -45,6 +46,16 @@ class TestSpecAndCounts:
 
     def test_arch_label(self):
         assert NetworkSpec((32, 16, 8)).arch_label == "32-16-8"
+
+    def test_parse_arch_reads_every_label(self):
+        for widths, _, _ in ARCH_SETTINGS:
+            assert network.parse_arch(network.arch_label(widths)) == widths
+            assert NetworkSpec(widths).arch_label == network.arch_label(widths)
+
+    @pytest.mark.parametrize("text", ["0", "32-0-8", "32--8", "", "32-x", "-8", "32-"])
+    def test_parse_arch_rejects(self, text):
+        with pytest.raises(ValueError):
+            network.parse_arch(text)
 
     def test_invalid_specs(self):
         with pytest.raises(ConfigurationError):
@@ -263,6 +274,10 @@ class TestTraining:
             TrainConfig(epochs=0, batch_size=4)
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=1, batch_size=0)
+        with pytest.raises(ConfigurationError, match="seeds must be >= 0"):
+            TrainConfig(epochs=1, batch_size=4, init_seed=-1)
+        with pytest.raises(ConfigurationError, match="seeds must be >= 0"):
+            TrainConfig(epochs=1, batch_size=4, shuffle_seed=-1)
 
 
 class TestModelIO:

@@ -3,7 +3,7 @@ import pytest
 from nucaug import report
 from nucaug.ame import NuclideRecord
 from nucaug.augment import gaussian_resample
-from nucaug.errors import ConfigurationError, IncompleteDataError
+from nucaug.errors import ConfigurationError, DataIntegrityError, IncompleteDataError
 
 
 def result_rows():
@@ -40,6 +40,15 @@ class TestTables:
         assert float(row[4]) == pytest.approx(2.2)  # mean of 2.0, 2.4
         assert float(row[5]) == pytest.approx(1.9)
         assert float(row[6]) == pytest.approx(100 * (2.2 - 1.9) / 2.2, abs=1e-3)
+
+    def test_error_augmentation_zero_baseline(self):
+        rows = result_rows()
+        for row in rows:
+            if (row["arch"], row["augmentation"]) == ("32-32", "none"):
+                row["rms_test_mev"] = "0.0"
+        with pytest.raises(DataIntegrityError,
+                           match="^arch 32-32: baseline rms must be > 0, got 0.0$"):
+            report.table_error_augmentation(rows)
 
     def test_error_augmentation_incomplete(self):
         rows = [r for r in result_rows() if r["augmentation"] != "error"]
@@ -90,6 +99,21 @@ class TestComparisons:
         _, out = report.optimizer_comparison(rows, arch="32-32")
         optimizers = {r[0] for r in out}
         assert "nadam" in optimizers
+
+    @pytest.mark.parametrize("builder, setting", [
+        (report.optimizer_comparison, "optimizer"),
+        (report.activation_comparison, "activation"),
+    ])
+    def test_rows_by_setting_value_then_level_label(self, builder, setting):
+        # level labels sort as text: gaussian2 and gaussian5 come before none
+        rows = result_rows()
+        rows = [{**r, setting: "b"} for r in rows] + [
+            {**r, setting: "a", "rms_test_mev": "1.0"} for r in rows]
+        header, out = builder(rows, arch="32-32")
+        assert header == [setting, "arch", "resamples", "mean_rms_mev"]
+        assert out == [["a", "32-32", 2, "1.000"], ["a", "32-32", 5, "1.000"],
+                       ["a", "32-32", 0, "1.000"], ["b", "32-32", 2, "1.600"],
+                       ["b", "32-32", 5, "1.400"], ["b", "32-32", 0, "2.200"]]
 
     def test_activation_comparison(self):
         _, out = report.activation_comparison(result_rows(), arch="32-16-8")
