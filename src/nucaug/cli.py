@@ -86,8 +86,16 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _records(path) -> list[ame.NuclideRecord]:
+    """The records of a canonical CSV that a command needs at least one of."""
+    records = ame.read_records_csv(path)
+    if not records:
+        raise DataIntegrityError(f"{path} holds no records")
+    return records
+
+
 def cmd_augment(args) -> int:
-    records = ame.read_records_csv(args.records_csv)
+    records = _records(args.records_csv)
     aug = augment.apply(args.technique, args.k, records, args.noise_seed)
     augment.write_augmented_csv(aug, records, args.out)
     print(f"rows: {len(aug.rows)} (base {aug.base_size}, technique {aug.technique})")
@@ -99,9 +107,11 @@ def _load_training_rows(path) -> augment.AugmentedTrainingSet:
     # text that does not decode is reported by the reader this picks
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip().split(",")
-    if header == ame.CSV_COLUMNS:
-        return augment.identity_set(ame.read_records_csv(path))
-    return augment.read_augmented_csv(path)
+    train_set = (augment.identity_set(ame.read_records_csv(path)) if header == ame.CSV_COLUMNS
+                 else augment.read_augmented_csv(path))
+    if not len(train_set.rows):
+        raise DataIntegrityError(f"{path} holds no records")
+    return train_set
 
 
 def cmd_train(args) -> int:
@@ -126,9 +136,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = network.load_model(args.model)
-    records = ame.read_records_csv(args.records_csv)
-    pred = model.predict([r.z for r in records], [r.a for r in records])
-    rms = experiment.rms_error(pred, [r.be_total for r in records])
+    records = _records(args.records_csv)
+    pred, rms = experiment.score(model, records)
     if not math.isfinite(rms):
         raise DataIntegrityError(f"rms over {len(records)} nuclei is not finite: {rms}")
     print(f"rms: {rms:.6f} MeV over {len(records)} nuclei")

@@ -24,7 +24,8 @@ import numpy as np
 from . import augment
 from .ame import DatasetSplit, NuclideRecord, bad_field, csv_rows, write_csv
 from .errors import ConfigurationError, MassTableParseError, TrainingDivergedError
-from .network import NetworkSpec, TrainConfig, arch_label, parse_arch, train
+from .network import (NetworkSpec, TrainConfig, TrainedModel, arch_label, loss_mse,
+                      parse_arch, train)
 from .optimizers import OptimizerConfig
 
 # (hidden widths, epochs, batch size) used throughout the baseline study
@@ -42,16 +43,15 @@ ARCH_SETTINGS: list[tuple[tuple[int, ...], int, int]] = [
 ]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def rms_error(predictions, targets) -> float:
-    """sqrt(mean((pred - target)^2)), in MeV; inf, without a numpy warning,
-    where the squares overflow."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape or predictions.size == 0:
-        raise ConfigurationError("rms_error needs equal-length nonempty inputs")
-    d = predictions - targets
-    return float(np.sqrt(np.mean(d * d)))
+    """sqrt(loss_mse), in MeV; inf, without a numpy warning, on overflow."""
+    return math.sqrt(loss_mse(predictions, targets))
+
+
+def score(model: TrainedModel, records: list[NuclideRecord]) -> tuple[np.ndarray, float]:
+    """The model's predictions for the records, and their rms in MeV."""
+    pred = model.predict([r.z for r in records], [r.a for r in records])
+    return pred, rms_error(pred, [r.be_total for r in records])
 
 
 def pct_change(baseline: float, augmented: float) -> float:
@@ -89,15 +89,24 @@ class TrialSpec:
 
     def __post_init__(self):
         # reject what run_trial would reject, before any trial of a sweep trains
-        NetworkSpec(hidden_widths=self.hidden_widths, activation=self.activation)
-        TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                    init_seed=self.seed, shuffle_seed=self.seed)
+        self.network, self.train_config
         if self.technique not in augment.TECHNIQUES:
             raise ConfigurationError(f"unknown augmentation technique {self.technique!r}")
         if self.technique == "gaussian" and (self.k < 1 or self.noise_seed < 0):
             raise ConfigurationError(
                 f"gaussian needs k >= 1 and noise_seed >= 0, got k={self.k}, "
                 f"noise_seed={self.noise_seed}")
+        if self.technique != "gaussian" and self.k != 0:
+            raise ConfigurationError(f"{self.technique} needs k = 0, got k={self.k}")
+
+    @property
+    def network(self) -> NetworkSpec:
+        return NetworkSpec(hidden_widths=self.hidden_widths, activation=self.activation)
+
+    @property
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
+                           init_seed=self.seed, shuffle_seed=self.seed)
 
     @property
     def arch_label(self) -> str:
@@ -167,22 +176,15 @@ def run_trial(spec: TrialSpec, split: DatasetSplit,
     if extrapolation:
         _leak_check(aug_set, extrapolation)
 
-    net_spec = NetworkSpec(hidden_widths=spec.hidden_widths, activation=spec.activation)
-    cfg = TrainConfig(epochs=spec.epochs, batch_size=spec.batch_size,
-                      init_seed=spec.seed, shuffle_seed=spec.seed)
     try:
-        model = train(net_spec, aug_set, cfg, spec.optimizer)
+        model = train(spec.network, aug_set, spec.train_config, spec.optimizer)
     except TrainingDivergedError as exc:
         return TrialResult(spec=spec, rms_test=math.nan, rms_extrapolation=None,
                            final_train_loss=math.nan, status=f"failed: {exc}",
                            wall_time=time.perf_counter() - start)
 
-    def score(records):
-        pred = model.predict([r.z for r in records], [r.a for r in records])
-        return rms_error(pred, [r.be_total for r in records])
-
-    rms_ext = score(extrapolation) if extrapolation else None
-    return TrialResult(spec=spec, rms_test=score(split.test),
+    rms_ext = score(model, extrapolation)[1] if extrapolation else None
+    return TrialResult(spec=spec, rms_test=score(model, split.test)[1],
                        rms_extrapolation=rms_ext,
                        final_train_loss=model.loss_history[-1], status="ok",
                        wall_time=time.perf_counter() - start)
@@ -227,8 +229,9 @@ def read_results_csv(path) -> list[dict]:
     """Result rows, as dicts of their CSV text, from a ResultTable.write_csv
     file. A wrong header, a short or long row, an arch that is not hyphenated
     integers >= 1, an unknown augmentation, a k, seed, epochs or batch that
-    is not an integer, or a metric that is neither empty nor a number >= 0
-    raises MassTableParseError naming the line."""
+    is not an integer, a k other than 0 for none and error or below 1 for
+    gaussian, or a metric that is neither empty nor a number >= 0 raises
+    MassTableParseError naming the line."""
     rows = []
     for line_no, row in csv_rows(path, RESULTS_COLUMNS):
         try:
@@ -238,6 +241,10 @@ def read_results_csv(path) -> list[dict]:
             raise bad_field(line_no, RESULTS_COLUMNS, _RESULTS_TYPES, row) from None
         if row[1] not in augment.TECHNIQUES:
             raise MassTableParseError(line_no, f"unknown augmentation {row[1]!r}")
+        gaussian, k = row[1] == "gaussian", int(row[2])
+        if (k < 1) if gaussian else (k != 0):
+            raise MassTableParseError(line_no, f"k field {row[2]!r}: {row[1]} takes "
+                                      f"k {'>= 1' if gaussian else '= 0'}")
         rows.append(dict(zip(RESULTS_COLUMNS, row)))
     return rows
 

@@ -48,7 +48,6 @@ class NetworkSpec:
     hidden_widths: tuple[int, ...]
     activation: str = "relu"
     input_dim: int = 2
-    output_dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -56,11 +55,11 @@ class NetworkSpec:
             raise ConfigurationError(f"hidden widths must be >= 1, got {self.hidden_widths}")
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ConfigurationError("input_dim and output_dim must be >= 1")
+        if self.input_dim < 1:
+            raise ConfigurationError("input_dim must be >= 1")
 
     def layer_dims(self) -> list[tuple[int, int]]:
-        widths = (self.input_dim, *self.hidden_widths, self.output_dim)
+        widths = (self.input_dim, *self.hidden_widths, 1)
         return list(zip(widths[:-1], widths[1:]))
 
     @property
@@ -90,9 +89,6 @@ class NetworkParams:
             off += fi * fo
             self.biases.append(flat[off:off + fo])
             off += fo
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.spec, self.flat.copy())
 
 
 def init_network(spec: NetworkSpec, init_seed: int) -> NetworkParams:
@@ -125,24 +121,33 @@ def _scale_by_activation_grad(name: str, delta: np.ndarray, h: np.ndarray) -> No
         delta *= h * (1.0 - h)
 
 
+def _layer_outputs(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
+    """X, then each layer's output; the last is affine, one column wide."""
+    act = params.spec.activation
+    last = len(params.weights) - 1
+    h = X
+    hs = [X]
+    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+        h = np.dot(h, W)
+        h += b
+        if i < last:
+            h = _activate(act, h)
+        hs.append(h)
+    return hs
+
+
 def forward(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Predictions for a batch of (already standardized) inputs, shape (B, in)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != params.spec.input_dim:
         raise ConfigurationError(
             f"input dim {X.shape[1]} != spec input_dim {params.spec.input_dim}")
-    act = params.spec.activation
-    h = X
-    last = len(params.weights) - 1
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        h = np.dot(h, W)
-        h += b
-        if i < last:
-            h = _activate(act, h)
-    return h[:, 0]
+    return _layer_outputs(params, X)[-1][:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def loss_mse(predictions, targets) -> float:
+    """mean((pred - target)^2); inf, without a numpy warning, on overflow."""
     predictions = np.asarray(predictions, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if predictions.shape != targets.shape or predictions.size == 0:
@@ -168,22 +173,15 @@ def _forward_backward(params: NetworkParams, grad: NetworkParams,
     output layer's (B, 1) x (1, fan_in) product matmul has no BLAS path at
     all), and in-place bias adds, ReLU and derivative products.
     """
-    act = params.spec.activation
-    last = len(params.weights) - 1
-    h = X
-    hs = [X]
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        h = np.dot(h, W)
-        h += b
-        if i < last:
-            h = _activate(act, h)
-        hs.append(h)
-    diff = h[:, 0] - y
+    hs = _layer_outputs(params, X)
+    diff = hs[-1][:, 0] - y
+    # not loss_mse: np.mean sums pairwise, so its last bit can differ
     loss = float(np.dot(diff, diff)) / diff.size
 
     # delta holds dL/d(pre-activation of layer i) while walking backwards
+    act = params.spec.activation
     delta = (2.0 / diff.size) * diff[:, None]
-    for i in range(last, -1, -1):
+    for i in range(len(hs) - 2, -1, -1):
         np.dot(hs[i].T, delta, out=grad.weights[i])
         np.add.reduce(delta, axis=0, out=grad.biases[i])
         if i > 0:
@@ -294,7 +292,7 @@ def save_model(model: TrainedModel, path) -> None:
         "hidden_widths": list(model.params.spec.hidden_widths),
         "activation": model.params.spec.activation,
         "input_dim": model.params.spec.input_dim,
-        "output_dim": model.params.spec.output_dim,
+        "output_dim": 1,
         "loss_history": model.loss_history,
     }
     np.savez(path,
@@ -313,10 +311,11 @@ def load_model(path) -> TrainedModel:
             if meta["format_version"] != MODEL_FORMAT_VERSION:
                 raise ConfigurationError(
                     f"unsupported model format version {meta['format_version']}")
+            if (meta["input_dim"], meta["output_dim"]) != (2, 1):  # (Z, A) -> one energy
+                raise ValueError("input_dim {input_dim!r} and output_dim {output_dim!r}, "
+                                 "expected 2 and 1".format(**meta))
             spec = NetworkSpec(hidden_widths=tuple(meta["hidden_widths"]),
-                               activation=meta["activation"],
-                               input_dim=meta["input_dim"],
-                               output_dim=meta["output_dim"])
+                               activation=meta["activation"])
             return TrainedModel(params=NetworkParams(spec, data["flat"].copy()),
                                 input_mean=data["input_mean"].copy(),
                                 input_std=data["input_std"].copy(),

@@ -48,9 +48,8 @@ STABILITY_LEVELS = ["none", "gaussian2", "gaussian5"]
 
 
 def _cell(row: dict) -> tuple[str, str, int]:
-    """(arch, technique, k) of a row, with k = 0 for none and error."""
-    technique = row["augmentation"]
-    return row["arch"], technique, int(row["k"]) if technique == "gaussian" else 0
+    """(arch, technique, k) of a row."""
+    return row["arch"], row["augmentation"], int(row["k"])
 
 
 def _metric(row: dict, column: str) -> float | None:
@@ -59,6 +58,7 @@ def _metric(row: dict, column: str) -> float | None:
     return float(row[column])
 
 
+@np.errstate(over="ignore")
 def _group_means(rows: list[dict], column: str, key=_cell) -> dict[tuple, float]:
     """key(row) -> mean of the column over the rows that have a value."""
     acc = defaultdict(list)
@@ -66,7 +66,12 @@ def _group_means(rows: list[dict], column: str, key=_cell) -> dict[tuple, float]
         value = _metric(row, column)
         if value is not None:
             acc[key(row)].append(value)
-    return {cell: float(np.mean(vals)) for cell, vals in acc.items()}
+    means = {cell: float(np.mean(vals)) for cell, vals in acc.items()}
+    for cell, mean in means.items():
+        if not np.isfinite(mean) and np.isfinite(acc[cell]).all():
+            raise DataIntegrityError(
+                f"the mean {column} of cell ({', '.join(map(str, cell))}) is not finite")
+    return means
 
 
 def _one_setting(rows: list[dict]) -> None:

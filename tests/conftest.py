@@ -1,5 +1,7 @@
+import json
 import os
 
+import numpy as np
 import pytest
 
 from nucaug import ame
@@ -52,3 +54,16 @@ def split(experimental16):
 @pytest.fixture(scope="session")
 def extrapolation(experimental16, experimental20):
     return ame.diff_new_nuclei(experimental16, experimental20)
+
+
+@pytest.fixture
+def edit_model_meta():
+    """Rewrite keys of a model file's metadata in place, as a file written by
+    some other program might hold them."""
+    def edit(path, **changes):
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = {**json.loads(bytes(arrays["meta"]).decode()), **changes}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+    return edit

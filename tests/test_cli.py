@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nucaug import ame, augment, cli, experiment
 from nucaug.errors import ConfigurationError, DataIntegrityError, MassTableParseError
+from nucaug.optimizers import OptimizerConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DATA = os.path.join(ROOT, "data")
@@ -156,6 +157,36 @@ class TestTrainEvaluate:
         assert code == cli.EXIT_DATA
         assert err.startswith("data error:") and err.count("\n") == 1
 
+    def test_evaluate_matches_run_trial(self, tmp_path, capsys):
+        # train then evaluate scores the test half as run_trial does
+        split = ame.split_dataset(toy_records(60), 0.7, 0)
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        ame.write_records_csv(split.train, train_csv)
+        ame.write_records_csv(split.test, test_csv)
+        model = str(tmp_path / "model.npz")
+        assert run(["train", str(train_csv), "--arch", "6-4", "--epochs", "30",
+                    "--batch", "8", "--seed", "2", "--out", model], capsys)[0] == cli.EXIT_OK
+        code, out, _ = run(["evaluate", model, str(test_csv)], capsys)
+        spec = experiment.TrialSpec(hidden_widths=(6, 4), activation="relu",
+                                    technique="none", k=0, seed=2,
+                                    optimizer=OptimizerConfig(), epochs=30, batch_size=8)
+        rms = experiment.run_trial(spec, split).rms_test
+        assert (code, out) == (cli.EXIT_OK, f"rms: {rms:.6f} MeV over {len(split.test)} nuclei\n")
+
+    @pytest.mark.parametrize("key", ["input_dim", "output_dim"])
+    def test_evaluate_model_of_other_dims_is_data_error(self, key, records_csv, tmp_path,
+                                                        capsys, edit_model_meta):
+        model = tmp_path / "model.npz"
+        assert run(["train", records_csv, "--arch", "4", "--epochs", "1", "--batch", "8",
+                    "--out", str(model)], capsys)[0] == cli.EXIT_OK
+        edit_model_meta(model, **{key: 3})
+        dims = "input_dim 3 and output_dim 1" if key == "input_dim" else (
+            "input_dim 2 and output_dim 3")
+        code, out, err = run(["evaluate", str(model), records_csv], capsys)
+        assert (code, out, err) == (
+            cli.EXIT_DATA, "",
+            f"data error: {model} is not a model file: {dims}, expected 2 and 1\n")
+
     def test_bad_arch_usage_error(self, records_csv, tmp_path, capsys):
         code, _, _ = run(["train", records_csv, "--arch", "8-x", "--epochs",
                           "5", "--batch", "8",
@@ -213,6 +244,48 @@ class TestTrainEvaluate:
             code, _, err = run(argv, capsys)
             assert code == cli.EXIT_DATA
             assert err == f"data error: {path} is not UTF-8 text\n"
+
+
+class TestEmptyInputs:
+    """`ingest --diff` writes a CSV with no records when no nucleus is new; it
+    reads back, and a command that needs records exits 2 naming the file."""
+
+    @pytest.fixture
+    def empty_csv(self, tmp_path, capsys):
+        old = str(tmp_path / "old.csv")
+        assert run(["ingest", MASS16, "--edition", "AME2016", "--out-csv", old],
+                   capsys)[0] == cli.EXIT_OK
+        path = tmp_path / "empty.csv"
+        code, out, _ = run(["ingest", MASS16, "--edition", "AME2016", "--diff", old,
+                            "--out-csv", str(path)], capsys)
+        assert code == cli.EXIT_OK and "new: 0" in out
+        assert ame.read_records_csv(path) == []
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "{model}", "{csv}"],
+        ["train", "{csv}", "--arch", "4", "--epochs", "1", "--batch", "8",
+         "--out", "{tmp}/m.npz"],
+        ["train", "{augmented}", "--arch", "4", "--epochs", "1", "--batch", "8",
+         "--out", "{tmp}/m.npz"],
+        *(["augment", "{csv}", "--technique", technique, "--k", "2",
+           "--out", "{tmp}/aug.csv"] for technique in augment.TECHNIQUES),
+    ], ids=["evaluate", "train", "train_augmented", "augment_none", "augment_error",
+            "augment_gaussian"])
+    def test_no_records_is_data_error(self, argv, empty_csv, records_csv, tmp_path,
+                                      capsys):
+        model = str(tmp_path / "model.npz")
+        assert run(["train", records_csv, "--arch", "4", "--epochs", "1", "--batch", "8",
+                    "--out", model], capsys)[0] == cli.EXIT_OK
+        augmented = tmp_path / "augmented.csv"
+        augmented.write_text(",".join(augment.AUGMENTED_CSV_COLUMNS) + "\n")
+        paths = {"model": model, "csv": empty_csv, "augmented": augmented, "tmp": tmp_path}
+        argv = [arg.format(**paths) for arg in argv]
+        code, out, err = run(argv, capsys)
+        named = argv[2] if argv[0] == "evaluate" else argv[1]
+        assert (code, out, err) == (cli.EXIT_DATA, "",
+                                    f"data error: {named} holds no records\n")
+        assert not (tmp_path / "aug.csv").exists() and not (tmp_path / "m.npz").exists()
 
 
 class TestUnreadablePaths:
@@ -479,6 +552,13 @@ def csv_texts(draw):
     return "\n".join([header, *lines]) + "\n"
 
 
+RESULTS_ROW = "32-16-8,none,0,adam,relu,0,2.0,2.5,0.1,3500,64,ok"
+ERROR_ROW = RESULTS_ROW.replace(",none,", ",error,")
+# two baseline rows whose mean overflows, and an error row, for table1
+OVERFLOWING_MEAN = (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',1.7e308,')}\n"
+                    f"{RESULTS_ROW.replace(',relu,0,2.0,', ',relu,1,1.7e308,')}\n{ERROR_ROW}\n")
+
+
 class TestCsvReaderFuzz:
     """Any text given to `nucaug augment` (canonical reader), `nucaug train`
     (canonical or augmented reader) and `nucaug report` (results reader)
@@ -487,6 +567,14 @@ class TestCsvReaderFuzz:
     header exits 0 or 2, as its rows hold one optimizer and activation."""
 
     @given(text=csv_texts())
+    # results that once got past the reader or the reports: an arch of 0, a
+    # zero baseline, a k that no sweep writes and a mean that overflows
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '0')}\n"
+                  f"{ERROR_ROW.replace('32-16-8', '0')}\n")
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',0.0,')}\n{ERROR_ROW}\n")
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',none,3,')}\n"
+                  f"{RESULTS_ROW}\n")
+    @example(text=OVERFLOWING_MEAN)
     @settings(max_examples=150, deadline=None)
     def test_any_text(self, tmp_path_factory, text):
         base = tmp_path_factory.getbasetemp()
@@ -528,9 +616,6 @@ class TestCsvReaderFuzz:
                 assert code == cli.EXIT_OK
 
 
-RESULTS_ROW = "32-16-8,none,0,adam,relu,0,2.0,2.5,0.1,3500,64,ok"
-
-
 class TestStrictResultsCsv:
     """`nucaug report` reads the results CSV strictly: anything but the
     results header, rows of its width, integer k, seed, epochs and batch,
@@ -561,8 +646,15 @@ class TestStrictResultsCsv:
          "line 2: rms_test_mev field '-1': a metric must not be negative"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',0.1,', ',-inf,')}\n",
          "line 2: final_train_loss field '-inf': a metric must not be negative"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',none,0,', ',none,3,')}\n",
+         "line 3: k field '3': none takes k = 0"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',error,-1,')}\n",
+         "line 2: k field '-1': error takes k = 0"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',gaussian,0,')}\n",
+         "line 2: k field '0': gaussian takes k >= 1"),
     ], ids=["canonical", "empty", "short", "long", "k", "seed", "rms", "epochs", "arch",
-            "augmentation", "arch_width_0", "negative_rms", "negative_loss"])
+            "augmentation", "arch_width_0", "negative_rms", "negative_loss", "none_k3",
+            "error_k_negative", "gaussian_k0"])
     @pytest.mark.parametrize("figure", ["table1", "table2", "fig4", "fig6"])
     def test_bad_results_is_data_error(self, tmp_path, capsys, text, message, figure):
         path = tmp_path / "results.csv"
@@ -576,16 +668,32 @@ class TestStrictResultsCsv:
 
     def test_zero_baseline_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
-        error_row = RESULTS_ROW.replace(",none,", ",error,")
         path.write_text(f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',0.0,')}\n"
-                        f"{error_row}\n")
+                        f"{ERROR_ROW}\n")
         code, _, err = run(["report", str(path), "--figure", "table1",
                             "--out", str(tmp_path)], capsys)
         assert (code, err) == (
             cli.EXIT_DATA, "data error: arch 32-16-8: baseline rms must be > 0, got 0.0\n")
-        path.write_text(f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{error_row}\n")
+        path.write_text(f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{ERROR_ROW}\n")
         assert run(["report", str(path), "--figure", "table1",
                     "--out", str(tmp_path)], capsys)[0] == cli.EXIT_OK
+
+    def test_overflowing_mean_is_one_line(self, tmp_path):
+        # finite metrics whose mean is not; numpy would warn on standard error
+        path = tmp_path / "results.csv"
+        path.write_text(OVERFLOWING_MEAN)
+        argv = ["report", str(path), "--figure", "table1", "--out", str(tmp_path)]
+        proc = run_process(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            cli.EXIT_DATA, "",
+            "data error: the mean rms_test_mev of cell (32-16-8, none, 0) is not finite\n")
+        assert not (tmp_path / "table1.csv").exists()
+        # a cell that holds inf already has an inf mean, as before
+        path.write_text(OVERFLOWING_MEAN.replace(",1.7e308,", ",inf,", 1))
+        proc = run_process(argv)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+        assert (tmp_path / "table1.csv").read_text().splitlines()[1] == (
+            "32-16-8,769,3500,64,inf,2.000,nan")
 
     def test_not_utf8_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"

@@ -9,11 +9,13 @@ import pytest
 
 from nucaug import experiment
 from nucaug.ame import DatasetSplit, NuclideRecord
+from nucaug.augment import identity_set
 from nucaug.errors import ConfigurationError
 from nucaug.experiment import (ARCH_SETTINGS, ResultTable, TrialResult,
                                TrialSpec, build_trial_specs, dataset_tag,
                                pct_change, read_results_csv, result_row,
                                rms_error, run_trial, sweep, write_manifest)
+from nucaug.network import NetworkSpec, TrainConfig, loss_mse, train
 from nucaug.optimizers import OptimizerConfig
 
 
@@ -82,6 +84,15 @@ class TestMetrics:
         # pytest turns a RuntimeWarning from the package into an error
         assert rms_error([0.0, 0.0], [1e300, 1.0]) == math.inf
 
+    def test_rms_error_is_the_root_of_loss_mse(self):
+        # the same bits as the root of the mean taken in numpy
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 300, 4999):
+            pred, target = rng.normal(800.0, 300.0, size=(2, n))
+            d = pred - target
+            assert (rms_error(pred, target) == math.sqrt(loss_mse(pred, target))
+                    == float(np.sqrt(np.mean(d * d))))
+
     def test_pct_change(self):
         assert pct_change(2.0, 1.0) == pytest.approx(50.0)
         assert pct_change(1.0, 1.5) == pytest.approx(-50.0)
@@ -130,6 +141,18 @@ class TestTrialSpec:
         with pytest.raises(ConfigurationError, match="seeds must be >= 0"):
             toy_spec(seed=-1)
 
+    @pytest.mark.parametrize("technique, k", [("none", 3), ("none", -1), ("error", 1)])
+    def test_k_only_for_gaussian(self, technique, k):
+        with pytest.raises(ConfigurationError) as exc:
+            toy_spec(technique=technique, k=k)
+        assert str(exc.value) == f"{technique} needs k = 0, got k={k}"
+
+    def test_network_and_train_config(self):
+        spec = toy_spec(activation="tanh", seed=3, epochs=7, batch_size=5)
+        assert spec.network == NetworkSpec(hidden_widths=(6, 4), activation="tanh")
+        assert spec.train_config == TrainConfig(epochs=7, batch_size=5, init_seed=3,
+                                                shuffle_seed=3)
+
     def test_cache_key_sensitivity(self):
         base = toy_spec().cache_key("tag")
         assert toy_spec().cache_key("tag") == base
@@ -152,6 +175,17 @@ class TestRunTrial:
         extra = [rec(60, 70, 8.0 * 130)]
         res = run_trial(toy_spec(), split, extra)
         assert res.rms_extrapolation is not None
+
+    def test_scored_through_score(self):
+        split = toy_split()
+        spec = toy_spec()
+        model = train(spec.network, identity_set(split.train), spec.train_config,
+                      spec.optimizer)
+        pred, rms = experiment.score(model, split.test)
+        assert np.array_equal(pred, model.predict([r.z for r in split.test],
+                                                  [r.a for r in split.test]))
+        assert rms == rms_error(pred, [r.be_total for r in split.test])
+        assert run_trial(spec, split).rms_test == rms
 
     def test_leak_detection(self):
         split = toy_split()

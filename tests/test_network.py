@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from nucaug import network
 from nucaug.ame import NuclideRecord
 from nucaug.augment import gaussian_resample, identity_set
-from nucaug.errors import ConfigurationError
+from nucaug.errors import ConfigurationError, DataIntegrityError
 from nucaug.experiment import ARCH_SETTINGS
 from nucaug.network import (NetworkParams, NetworkSpec, TrainConfig, backward,
                             forward, init_network, load_model, loss_mse,
@@ -309,3 +310,32 @@ class TestModelIO:
             network.MODEL_FORMAT_VERSION = real
         with pytest.raises(ConfigurationError):
             load_model(path)
+
+    def test_file_keys_and_dims(self, tmp_path):
+        model = train(NetworkSpec((4,)), identity_set(records(10)),
+                      TrainConfig(epochs=1, batch_size=4), OptimizerConfig())
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["flat", "input_mean", "input_std", "meta",
+                                          "target_stats"]
+            meta = json.loads(bytes(data["meta"]).decode())
+        assert sorted(meta) == ["activation", "format_version", "hidden_widths",
+                                "input_dim", "loss_history", "output_dim"]
+        assert (meta["format_version"], meta["input_dim"], meta["output_dim"]) == (1, 2, 1)
+
+    @pytest.mark.parametrize("dims", [{"input_dim": 3}, {"output_dim": 3},
+                                      {"output_dim": 0}, {"input_dim": "2"}])
+    def test_other_dims_rejected(self, tmp_path, edit_model_meta, dims):
+        # every model maps (Z, A) to one energy
+        model = train(NetworkSpec((4,)), identity_set(records(10)),
+                      TrainConfig(epochs=1, batch_size=4), OptimizerConfig())
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        edit_model_meta(path, **dims)
+        meta = {"input_dim": 2, "output_dim": 1, **dims}
+        with pytest.raises(DataIntegrityError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            f"{path} is not a model file: input_dim {meta['input_dim']!r} and "
+            f"output_dim {meta['output_dim']!r}, expected 2 and 1")
