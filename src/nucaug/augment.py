@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -122,10 +123,7 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
     passes. Total rows: len(train) * (1 + k). Zero-uncertainty nuclei yield
     exact duplicates of their measured value in every pass.
     """
-    if k < 1:
-        raise ConfigurationError(f"resample count k must be >= 1, got {k}")
-    if noise_seed < 0:
-        raise ConfigurationError(f"noise_seed must be >= 0, got {noise_seed}")
+    check_level("gaussian", k, noise_seed)
     if not train:
         raise ConfigurationError("gaussian_resample requires a nonempty training set")
     n = len(train)
@@ -151,16 +149,40 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
 TECHNIQUES = ("none", "error", "gaussian")
 
 
+def check_level(technique: str, k: int, noise_seed: int | None) -> None:
+    """Raise ConfigurationError unless this is a level: gaussian takes an int k >= 1
+    and an int noise seed >= 0; none and error take k = 0 and None or an int >= 0."""
+    if technique not in TECHNIQUES:
+        raise ConfigurationError(f"unknown augmentation technique {technique!r}")
+    gaussian = technique == "gaussian"
+    if type(k) is not int or (k < 1 if gaussian else k != 0):
+        raise ConfigurationError(
+            f"{technique} takes k {'>= 1' if gaussian else '= 0'}, got k={k!r}")
+    if not (type(noise_seed) is int and noise_seed >= 0 or noise_seed is None and not gaussian):
+        raise ConfigurationError(f"noise_seed must be an integer >= 0, got {noise_seed!r}")
+
+
+def level_label(technique: str, k: int) -> str:
+    """The label of an augmentation level: "none", "error" or "gaussian<k>"."""
+    return f"gaussian{k}" if technique == "gaussian" else technique
+
+
+def parse_level(text: str) -> tuple[str, int]:
+    """The (technique, k) a label names: a lower-case word, then k (0 if
+    absent), unchecked; ValueError for text of any other form."""
+    match = re.fullmatch(r"([a-z]+)(-?[0-9]+)?", text)
+    if not match:
+        raise ValueError(f"unknown augmentation level {text!r}")
+    return match[1], int(match[2] or 0)
+
+
 def apply(technique: str, k: int, train: list[NuclideRecord],
           noise_seed: int = 0) -> AugmentedTrainingSet:
-    """Dispatch on technique name (one of TECHNIQUES)."""
-    if technique == "none":
-        return identity_set(train)
-    if technique == "error":
-        return error_resample(train)
+    """The training set of one level (see check_level)."""
     if technique == "gaussian":
         return gaussian_resample(train, k, noise_seed)
-    raise ConfigurationError(f"unknown augmentation technique {technique!r}")
+    check_level(technique, k, noise_seed)
+    return identity_set(train) if technique == "none" else error_resample(train)
 
 
 def level_size(train: list[NuclideRecord], technique: str, k: int) -> int:
@@ -196,8 +218,8 @@ _AUGMENTED_CSV_TYPES = (int, int, int, float, float, int, str)
 def read_augmented_csv(path) -> AugmentedTrainingSet:
     """Read a write_augmented_csv file; a malformed row, or an energy that is
     not a finite number, raises MassTableParseError naming the line, and a
-    sidecar that is not a JSON object with the four keys raises
-    DataIntegrityError naming the sidecar."""
+    sidecar that is not a JSON object of a level (check_level) and of these
+    rows' base_size raises DataIntegrityError naming the sidecar."""
     z, a, energy, origin = [], [], [], []
     for line_no, fields in csv_rows(path, AUGMENTED_CSV_COLUMNS):
         try:
@@ -217,11 +239,14 @@ def read_augmented_csv(path) -> AugmentedTrainingSet:
     try:
         with open(sidecar) as fh:
             manifest = json.load(fh)
+        if not (isinstance(manifest, dict) and manifest.keys() >= set(_SIDECAR_KEYS)):
+            raise ValueError(f"expected a JSON object with the keys {', '.join(_SIDECAR_KEYS)}")
+        check_level(manifest["technique"], manifest["k"], manifest["noise_seed"])
+        base, originals = manifest["base_size"], origin.count(ORIGIN_ORIGINAL)
+        if (type(base), base) != (int, originals):
+            raise ValueError(f"base_size {base!r} is not the {originals} original rows")
     except FileNotFoundError:
         return AugmentedTrainingSet(rows=rows, base_size=len(rows), technique="none")
-    except ValueError as exc:  # not JSON, or not text
+    except ValueError as exc:  # not JSON, not text, or not a sidecar of these rows
         raise DataIntegrityError(f"bad augmented-CSV sidecar {sidecar}: {exc}") from None
-    if not (isinstance(manifest, dict) and manifest.keys() >= set(_SIDECAR_KEYS)):
-        raise DataIntegrityError(f"bad augmented-CSV sidecar {sidecar}: expected a JSON "
-                                 f"object with the keys {', '.join(_SIDECAR_KEYS)}")
     return AugmentedTrainingSet(rows=rows, **{key: manifest[key] for key in _SIDECAR_KEYS})

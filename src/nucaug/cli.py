@@ -47,7 +47,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_levels(text: str) -> list[tuple[str, int]]:
-    return [experiment.parse_level(token) for token in text.replace(",", " ").split()]
+    return [augment.parse_level(token) for token in text.replace(",", " ").split()]
 
 
 def _parse_architectures(text: str) -> list[tuple[tuple[int, ...], int, int]]:
@@ -96,7 +96,8 @@ def _records(path) -> list[ame.NuclideRecord]:
 
 def cmd_augment(args) -> int:
     records = _records(args.records_csv)
-    aug = augment.apply(args.technique, args.k, records, args.noise_seed)
+    k = int(args.technique == "gaussian") if args.k is None else args.k
+    aug = augment.apply(args.technique, k, records, args.noise_seed)
     augment.write_augmented_csv(aug, records, args.out)
     print(f"rows: {len(aug.rows)} (base {aug.base_size}, technique {aug.technique})")
     print(f"wrote {args.out}")
@@ -195,6 +196,11 @@ def _load_sweep_config(path):
 
     config = {section: {key: get(section, key, *spec) for key, spec in keys.items()}
               for section, keys in SWEEP_CONFIG_KEYS.items()}
+    for level in config["sweep"]["levels"]:
+        try:
+            augment.check_level(*level, config["sweep"]["noise_seed"])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"bad config [sweep]: {exc}") from None
     return (config["data"], config["split"], config["sweep"],
             OptimizerConfig(**config["optimizer"]))
 
@@ -318,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="augment a canonical CSV of training records")
     p.add_argument("records_csv")
     p.add_argument("--technique", required=True, choices=augment.TECHNIQUES)
-    p.add_argument("--k", type=int, default=1, help="gaussian resample count")
-    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument("--k", type=int, help="gaussian resample count (default 1)")
+    p.add_argument("--noise-seed", type=int, default=0, help="gaussian noise seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 

@@ -61,20 +61,6 @@ def pct_change(baseline: float, augmented: float) -> float:
     return 100.0 * (baseline - augmented) / baseline
 
 
-def level_label(technique: str, k: int) -> str:
-    """The label of an augmentation level: "none", "error" or "gaussian<k>"."""
-    return f"gaussian{k}" if technique == "gaussian" else technique
-
-
-def parse_level(text: str) -> tuple[str, int]:
-    """The (technique, k) a level label names; ValueError for any other text."""
-    gaussian = text.startswith("gaussian")
-    technique, k = ("gaussian", text.removeprefix("gaussian")) if gaussian else (text, "0")
-    if technique not in augment.TECHNIQUES or not k.isdecimal():
-        raise ValueError(f"unknown augmentation level {text!r}")
-    return technique, int(k)
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     hidden_widths: tuple[int, ...]
@@ -90,14 +76,7 @@ class TrialSpec:
     def __post_init__(self):
         # reject what run_trial would reject, before any trial of a sweep trains
         self.network, self.train_config
-        if self.technique not in augment.TECHNIQUES:
-            raise ConfigurationError(f"unknown augmentation technique {self.technique!r}")
-        if self.technique == "gaussian" and (self.k < 1 or self.noise_seed < 0):
-            raise ConfigurationError(
-                f"gaussian needs k >= 1 and noise_seed >= 0, got k={self.k}, "
-                f"noise_seed={self.noise_seed}")
-        if self.technique != "gaussian" and self.k != 0:
-            raise ConfigurationError(f"{self.technique} needs k = 0, got k={self.k}")
+        augment.check_level(self.technique, self.k, self.noise_seed)
 
     @property
     def network(self) -> NetworkSpec:
@@ -114,7 +93,7 @@ class TrialSpec:
 
     @property
     def level_label(self) -> str:
-        return level_label(self.technique, self.k)
+        return augment.level_label(self.technique, self.k)
 
     def cache_key(self, data_tag: str) -> str:
         # "std=True;tstd=True" names the z-scoring that training always does;
@@ -228,10 +207,10 @@ _RESULTS_TYPES = (parse_arch, str, int, str, str, int, _number_or_empty, _number
 def read_results_csv(path) -> list[dict]:
     """Result rows, as dicts of their CSV text, from a ResultTable.write_csv
     file. A wrong header, a short or long row, an arch that is not hyphenated
-    integers >= 1, an unknown augmentation, a k, seed, epochs or batch that
-    is not an integer, a k other than 0 for none and error or below 1 for
-    gaussian, or a metric that is neither empty nor a number >= 0 raises
-    MassTableParseError naming the line."""
+    integers >= 1, a k, seed, epochs or batch that is not an integer, an
+    augmentation and k that are no level (augment.check_level), or a metric
+    that is neither empty nor a number >= 0 raises MassTableParseError
+    naming the line."""
     rows = []
     for line_no, row in csv_rows(path, RESULTS_COLUMNS):
         try:
@@ -239,12 +218,10 @@ def read_results_csv(path) -> list[dict]:
                 kind(text)
         except ValueError:
             raise bad_field(line_no, RESULTS_COLUMNS, _RESULTS_TYPES, row) from None
-        if row[1] not in augment.TECHNIQUES:
-            raise MassTableParseError(line_no, f"unknown augmentation {row[1]!r}")
-        gaussian, k = row[1] == "gaussian", int(row[2])
-        if (k < 1) if gaussian else (k != 0):
-            raise MassTableParseError(line_no, f"k field {row[2]!r}: {row[1]} takes "
-                                      f"k {'>= 1' if gaussian else '= 0'}")
+        try:
+            augment.check_level(row[1], int(row[2]), 0)  # the CSV records no noise seed
+        except ConfigurationError as exc:
+            raise MassTableParseError(line_no, str(exc)) from None
         rows.append(dict(zip(RESULTS_COLUMNS, row)))
     return rows
 
@@ -299,7 +276,7 @@ def build_trial_specs(architectures, levels, seeds, optimizer: OptimizerConfig,
     (hidden widths, level label or seed) fails before any trial runs.
     """
     for axis, values in (("architectures", [arch_label(w) for w, _, _ in architectures]),
-                         ("levels", [level_label(*level) for level in levels]),
+                         ("levels", [augment.level_label(*level) for level in levels]),
                          ("seeds", list(seeds))):
         if not values:
             raise ConfigurationError(f"the sweep has no {axis}")

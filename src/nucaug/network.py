@@ -47,7 +47,6 @@ def parse_arch(text: str) -> tuple[int, ...]:
 class NetworkSpec:
     hidden_widths: tuple[int, ...]
     activation: str = "relu"
-    input_dim: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -55,11 +54,9 @@ class NetworkSpec:
             raise ConfigurationError(f"hidden widths must be >= 1, got {self.hidden_widths}")
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if self.input_dim < 1:
-            raise ConfigurationError("input_dim must be >= 1")
 
     def layer_dims(self) -> list[tuple[int, int]]:
-        widths = (self.input_dim, *self.hidden_widths, 1)
+        widths = (2, *self.hidden_widths, 1)  # (Z, A) -> one energy
         return list(zip(widths[:-1], widths[1:]))
 
     @property
@@ -139,9 +136,8 @@ def _layer_outputs(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
 def forward(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Predictions for a batch of (already standardized) inputs, shape (B, in)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != params.spec.input_dim:
-        raise ConfigurationError(
-            f"input dim {X.shape[1]} != spec input_dim {params.spec.input_dim}")
+    if X.shape[1] != 2:
+        raise ConfigurationError(f"input dim {X.shape[1]} != 2")
     return _layer_outputs(params, X)[-1][:, 0]
 
 
@@ -291,7 +287,7 @@ def save_model(model: TrainedModel, path) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "hidden_widths": list(model.params.spec.hidden_widths),
         "activation": model.params.spec.activation,
-        "input_dim": model.params.spec.input_dim,
+        "input_dim": 2,
         "output_dim": 1,
         "loss_history": model.loss_history,
     }
@@ -309,8 +305,7 @@ def load_model(path) -> TrainedModel:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             if meta["format_version"] != MODEL_FORMAT_VERSION:
-                raise ConfigurationError(
-                    f"unsupported model format version {meta['format_version']}")
+                raise ValueError(f"unsupported model format version {meta['format_version']}")
             if (meta["input_dim"], meta["output_dim"]) != (2, 1):  # (Z, A) -> one energy
                 raise ValueError("input_dim {input_dim!r} and output_dim {output_dim!r}, "
                                  "expected 2 and 1".format(**meta))
@@ -322,7 +317,5 @@ def load_model(path) -> TrainedModel:
                                 target_mean=float(data["target_stats"][0]),
                                 target_std=float(data["target_stats"][1]),
                                 loss_history=list(meta["loss_history"]))
-    except ConfigurationError:
-        raise
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataIntegrityError(f"{path} is not a model file: {exc}") from None

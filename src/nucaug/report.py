@@ -24,7 +24,7 @@ import numpy as np
 from . import augment
 from .ame import NuclideRecord
 from .errors import ConfigurationError, DataIntegrityError, IncompleteDataError
-from .experiment import level_label, parse_level, pct_change
+from .experiment import pct_change
 from .network import NetworkSpec, param_count, parse_arch
 
 # figure id -> builder over results-CSV rows; fig2 takes a nuclide instead.
@@ -148,7 +148,7 @@ def per_seed_traces(rows: list[dict], arch: str = STABILITY_ARCH,
     header = ["level", "seed", "rms_mev"]
     out = []
     for lvl in levels:
-        cell = (arch, *parse_level(lvl))
+        cell = (arch, *augment.parse_level(lvl))
         cells = sorted((int(r["seed"]), _metric(r, column)) for r in rows
                        if _cell(r) == cell and _metric(r, column) is not None)
         if not cells:
@@ -163,7 +163,7 @@ def _setting_comparison(rows: list[dict], setting: str, arch: str,
     """Mean rms of one arch per setting value and level, ordered by both."""
     means = _group_means(rows, column, key=lambda row: (row[setting], *_cell(row)))
     header = [setting, "arch", "resamples", "mean_rms_mev"]
-    cells = sorted((value, level_label(technique, k), k, v)
+    cells = sorted((value, augment.level_label(technique, k), k, v)
                    for (value, a, technique, k), v in means.items()
                    if a == arch and technique != "error")
     out = [[value, arch, k, f"{v:.3f}"] for value, _, k, v in cells]
@@ -185,8 +185,6 @@ def activation_comparison(rows: list[dict], arch: str = STABILITY_ARCH,
 def gaussian_illustration(record: NuclideRecord, k: int,
                           noise_seed: int = 0) -> tuple[list[str], list[list]]:
     """The cumulative Gaussian draws for a single nuclide, one row per draw."""
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
     aug = augment.gaussian_resample([record], k, noise_seed)
     header = ["z", "a", "resample", "energy_mev", "mu_mev", "sigma_mev"]
     out = [[record.z, record.a, 0, repr(record.be_total),

@@ -1,12 +1,13 @@
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucaug import augment, cli
+from nucaug import ame, augment, cli
 from nucaug.ame import NuclideRecord
 from nucaug.errors import ConfigurationError, DataIntegrityError, MassTableParseError
 
@@ -171,6 +172,58 @@ class TestApply:
             augment.apply(technique, k, SAMPLE).rows)
 
 
+class TestLevels:
+    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0), ("gaussian", 0),
+                                              ("gaussian", 1), ("gaussian", 5),
+                                              ("gaussian", 12)])
+    def test_parse_level_reads_every_label(self, technique, k):
+        label = augment.level_label(technique, k)
+        assert augment.parse_level(label) == (technique, k)
+
+    @pytest.mark.parametrize("text", ["5", "Gaussian5", "", "gaussian-",
+                                      "none 3", "gaussian\u0663", "gaussian+1"])
+    def test_parse_level_rejects_other_forms(self, text):
+        with pytest.raises(ValueError, match="^unknown augmentation level "):
+            augment.parse_level(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("mixup", "unknown augmentation technique 'mixup'"),
+        ("gaussianx", "unknown augmentation technique 'gaussianx'"),
+        ("gaussian", "gaussian takes k >= 1, got k=0"),
+        ("gaussian-1", "gaussian takes k >= 1, got k=-1"),
+        ("none3", "none takes k = 0, got k=3"),
+        ("error-1", "error takes k = 0, got k=-1"),
+    ])
+    def test_a_label_may_name_no_level(self, text, message):
+        # parse_level reads the form; check_level alone says what is a level
+        with pytest.raises(ConfigurationError) as exc:
+            augment.check_level(*augment.parse_level(text), 0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("technique, k, noise_seed", [
+        ("none", 0, None), ("none", 0, 0), ("none", 0, 7), ("error", 0, None),
+        ("error", 0, 3), ("gaussian", 1, 0), ("gaussian", 5, 2**40)])
+    def test_valid_levels(self, technique, k, noise_seed):
+        augment.check_level(technique, k, noise_seed)
+
+    @pytest.mark.parametrize("technique, k, noise_seed, message", [
+        ("gaussian", 1, None, "noise_seed must be an integer >= 0, got None"),
+        ("error", 0, -1, "noise_seed must be an integer >= 0, got -1"),
+        ("none", 0, "0", "noise_seed must be an integer >= 0, got '0'"),
+        ("gaussian", 1, True, "noise_seed must be an integer >= 0, got True"),
+        ("gaussian", 2.0, 0, "gaussian takes k >= 1, got k=2.0"),
+        ("gaussian", True, 0, "gaussian takes k >= 1, got k=True"),
+        ("none", "0", 0, "none takes k = 0, got k='0'"),
+        ("none", False, 0, "none takes k = 0, got k=False"),
+        (None, 0, 0, "unknown augmentation technique None"),
+        (["none"], 0, 0, "unknown augmentation technique ['none']"),
+    ])
+    def test_types(self, technique, k, noise_seed, message):
+        with pytest.raises(ConfigurationError) as exc:
+            augment.check_level(technique, k, noise_seed)
+        assert str(exc.value) == message
+
+
 class TestAugmentedCsv:
     def test_round_trip(self, tmp_path):
         out = augment.gaussian_resample(SAMPLE, 3, noise_seed=9)
@@ -215,7 +268,15 @@ class TestAugmentedCsv:
     @pytest.mark.parametrize("sidecar, message", [
         ('{"technique": "none"', "Expecting ',' delimiter"),
         ("{}", "expected a JSON object with the keys base_size, k, noise_seed, technique"),
-    ])
+        ('{"technique": "mixup", "k": -3, "noise_seed": "x", "base_size": -5}',
+         "unknown augmentation technique 'mixup'"),
+        ('{"technique": "error", "k": 0, "noise_seed": null, "base_size": -5}',
+         "base_size -5 is not the 4 original rows"),
+        ('{"technique": "error", "k": 0, "noise_seed": null, "base_size": 4.0}',
+         "base_size 4.0 is not the 4 original rows"),
+        ('{"technique": "gaussian", "k": "3", "noise_seed": 1, "base_size": 4}',
+         "gaussian takes k >= 1, got k='3'"),
+    ], ids=["not_json", "no_keys", "probe", "base_size", "base_size_float", "k_text"])
     def test_bad_sidecar_is_data_error(self, tmp_path, sidecar, message):
         path = tmp_path / "aug.csv"
         augment.write_augmented_csv(augment.error_resample(SAMPLE), SAMPLE, path)
@@ -228,6 +289,54 @@ class TestAugmentedCsv:
         err = stderr.getvalue()
         assert err.startswith(f"data error: bad augmented-CSV sidecar {path}.manifest.json: ")
         assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("argv, level", [
+        (["--technique", "none"], ("none", 0, None)),
+        (["--technique", "error", "--noise-seed", "3"], ("error", 0, None)),
+        (["--technique", "gaussian"], ("gaussian", 1, 0)),
+        (["--technique", "gaussian", "--k", "5", "--noise-seed", "7"], ("gaussian", 5, 7)),
+    ], ids=["none", "error", "gaussian1", "gaussian5"])
+    def test_sidecar_reads_back(self, tmp_path, argv, level):
+        # what `nucaug augment` writes, `nucaug train` reads as the same level
+        records = tmp_path / "records.csv"
+        ame.write_records_csv(SAMPLE, records)
+        path = tmp_path / "aug.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["augment", str(records), *argv, "--out", str(path)]) == 0
+        back = augment.read_augmented_csv(path)
+        assert (back.technique, back.k, back.noise_seed, back.base_size) == (
+            *level, len(SAMPLE))
+
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+    @given(sidecar=st.fixed_dictionaries({}, optional={
+        "technique": st.sampled_from(augment.TECHNIQUES) | JSON,
+        "k": st.integers(-1, 3) | JSON,
+        "noise_seed": st.none() | st.integers(-1, 3) | JSON,
+        "base_size": st.integers(3, 5) | JSON}))
+    @settings(max_examples=150, deadline=None)
+    def test_any_sidecar(self, tmp_path_factory, sidecar):
+        # the sidecar's values, whatever JSON they are, never reach a traceback
+        path = tmp_path_factory.getbasetemp() / "fuzz_aug.csv"
+        augment.write_augmented_csv(augment.error_resample(SAMPLE), SAMPLE, path)
+        with open(str(path) + ".manifest.json", "w") as fh:
+            json.dump(sidecar, fh)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["train", str(path), "--arch", "4", "--epochs", "1",
+                             "--batch", "8", "--out", str(path) + ".npz"])
+        err = stderr.getvalue()
+        if code == cli.EXIT_OK:
+            back = augment.read_augmented_csv(path)
+            assert err == "" and {key: getattr(back, key) for key in sidecar} == sidecar
+        else:
+            assert code == cli.EXIT_DATA
+            assert err.startswith(f"data error: bad augmented-CSV sidecar {path}.manifest.json: ")
+            assert err.count("\n") == 1
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "aug.csv"

@@ -119,6 +119,17 @@ class TestAugment:
                           "--out", str(tmp_path / "x.csv")], capsys)
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--technique", "error", "--k", "7"], "error takes k = 0, got k=7"),
+        (["--technique", "none", "--k", "7", "--noise-seed", "3"],
+         "none takes k = 0, got k=7"),
+    ])
+    def test_k_only_for_gaussian(self, records_csv, tmp_path, capsys, argv, message):
+        out = tmp_path / "aug.csv"
+        assert run(["augment", records_csv, *argv, "--out", str(out)], capsys) == (
+            cli.EXIT_USAGE, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [Path(records_csv)]
+
 
 class TestTrainEvaluate:
     def test_round_trip(self, records_csv, tmp_path, capsys):
@@ -186,6 +197,21 @@ class TestTrainEvaluate:
         assert (code, out, err) == (
             cli.EXIT_DATA, "",
             f"data error: {model} is not a model file: {dims}, expected 2 and 1\n")
+
+    @pytest.mark.parametrize("meta, message", [
+        ({"format_version": 2}, "unsupported model format version 2"),
+        ({"activation": "softplus"}, "unknown activation 'softplus'"),
+        ({"hidden_widths": [0]}, "hidden widths must be >= 1, got (0,)"),
+        ({"hidden_widths": [5]}, "flat vector must be float64 of length 21"),
+    ], ids=["format_version", "activation", "width_0", "widths_not_the_vector"])
+    def test_evaluate_model_of_bad_metadata_is_data_error(self, meta, message, records_csv,
+                                                          tmp_path, capsys, edit_model_meta):
+        model = tmp_path / "model.npz"
+        assert run(["train", records_csv, "--arch", "4", "--epochs", "1", "--batch", "8",
+                    "--out", str(model)], capsys)[0] == cli.EXIT_OK
+        edit_model_meta(model, **meta)
+        assert run(["evaluate", str(model), records_csv], capsys) == (
+            cli.EXIT_DATA, "", f"data error: {model} is not a model file: {message}\n")
 
     def test_bad_arch_usage_error(self, records_csv, tmp_path, capsys):
         code, _, _ = run(["train", records_csv, "--arch", "8-x", "--epochs",
@@ -639,7 +665,7 @@ class TestStrictResultsCsv:
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '32-16-')}\n",
          "line 2: non-numeric arch field '32-16-'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',none,', ',mixup,')}\n",
-         "line 3: unknown augmentation 'mixup'"),
+         "line 3: unknown augmentation technique 'mixup'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '32-0-8')}\n",
          "line 2: arch field '32-0-8': hidden widths must be >= 1"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',-1,')}\n",
@@ -647,11 +673,11 @@ class TestStrictResultsCsv:
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',0.1,', ',-inf,')}\n",
          "line 2: final_train_loss field '-inf': a metric must not be negative"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',none,0,', ',none,3,')}\n",
-         "line 3: k field '3': none takes k = 0"),
+         "line 3: none takes k = 0, got k=3"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',error,-1,')}\n",
-         "line 2: k field '-1': error takes k = 0"),
+         "line 2: error takes k = 0, got k=-1"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',gaussian,0,')}\n",
-         "line 2: k field '0': gaussian takes k >= 1"),
+         "line 2: gaussian takes k >= 1, got k=0"),
     ], ids=["canonical", "empty", "short", "long", "k", "seed", "rms", "epochs", "arch",
             "augmentation", "arch_width_0", "negative_rms", "negative_loss", "none_k3",
             "error_k_negative", "gaussian_k0"])
@@ -758,6 +784,99 @@ class TestReport:
                             "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_USAGE
         assert "adam/relu" in err and "nadam/relu" in err
+
+
+# bad augmentation levels: (technique, k, noise seed) and augment.check_level's message
+BAD_LEVELS = {
+    "gaussian_k0": ("gaussian", 0, 0, "gaussian takes k >= 1, got k=0"),
+    "none_k3": ("none", 3, 0, "none takes k = 0, got k=3"),
+    "error_k_negative": ("error", -1, 0, "error takes k = 0, got k=-1"),
+    "mixup": ("mixup", 0, 0, "unknown augmentation technique 'mixup'"),
+    "none_noise_seed_negative": ("none", 0, -1, "noise_seed must be an integer >= 0, got -1"),
+    "gaussian_noise_seed_negative": ("gaussian", 1, -1,
+                                     "noise_seed must be an integer >= 0, got -1"),
+}
+# every input that takes a level -> the bad levels it can express: `augment
+# --technique` has argparse choices, the results CSV records no noise seed,
+# and fig2 draws only gaussian
+LEVEL_INPUTS = {
+    "config": list(BAD_LEVELS),
+    "trial_spec": list(BAD_LEVELS),
+    "augment": [level for level in BAD_LEVELS if level != "mixup"],
+    "results_csv": [level for level in BAD_LEVELS if "noise_seed" not in level],
+    "sidecar": list(BAD_LEVELS),
+    "fig2": ["gaussian_k0", "gaussian_noise_seed_negative"],
+}
+
+
+class TestLevelRule:
+    """One rule for an augmentation level, augment.check_level, with one
+    message at every input that takes a level; each input adds only its own
+    framing and exit code, and writes nothing."""
+
+    @pytest.mark.parametrize("door, level", [(door, level) for door, levels in
+                                             LEVEL_INPUTS.items() for level in levels])
+    def test_one_rule_one_message(self, door, level, tmp_path, capsys):
+        technique, k, noise_seed, message = BAD_LEVELS[level]
+        getattr(self, door)(tmp_path, capsys, technique, k, noise_seed, message)
+
+    def config(self, tmp_path, capsys, technique, k, noise_seed, message):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20).replace(
+            "levels = none gaussian1",
+            f"levels = {technique}{k or ''}\nnoise_seed = {noise_seed}"))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(config), "--out", str(out)], capsys) == (
+            cli.EXIT_USAGE, "", f"error: bad config [sweep]: {message}\n")
+        assert not out.exists()
+
+    def trial_spec(self, tmp_path, capsys, technique, k, noise_seed, message):
+        with pytest.raises(ConfigurationError) as exc:
+            experiment.TrialSpec(hidden_widths=(4,), activation="relu", technique=technique,
+                                 k=k, seed=0, optimizer=OptimizerConfig(), epochs=1,
+                                 batch_size=8, noise_seed=noise_seed)
+        assert str(exc.value) == message
+
+    def augment(self, tmp_path, capsys, technique, k, noise_seed, message):
+        records = tmp_path / "records.csv"
+        ame.write_records_csv(toy_records(), records)
+        out = tmp_path / "aug.csv"
+        assert run(["augment", str(records), "--technique", technique, "--k", str(k),
+                    "--noise-seed", str(noise_seed), "--out", str(out)], capsys) == (
+            cli.EXIT_USAGE, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [records]
+
+    def results_csv(self, tmp_path, capsys, technique, k, noise_seed, message):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{RESULTS_HEADER}\n"
+                        f"{RESULTS_ROW.replace(',none,0,', f',{technique},{k},')}\n")
+        assert run(["report", str(path), "--figure", "table2", "--out", str(tmp_path)],
+                   capsys) == (cli.EXIT_DATA, "", f"data error: line 2: {message}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def sidecar(self, tmp_path, capsys, technique, k, noise_seed, message):
+        records = toy_records()
+        path = tmp_path / "aug.csv"
+        augment.write_augmented_csv(augment.identity_set(records), records, path)
+        Path(f"{path}.manifest.json").write_text(json.dumps(
+            {"technique": technique, "k": k, "noise_seed": noise_seed,
+             "base_size": len(records)}))
+        model = tmp_path / "model.npz"
+        assert run(["train", str(path), "--arch", "4", "--epochs", "1", "--batch", "8",
+                    "--out", str(model)], capsys) == (
+            cli.EXIT_DATA, "",
+            f"data error: bad augmented-CSV sidecar {path}.manifest.json: {message}\n")
+        assert not model.exists()
+
+    def fig2(self, tmp_path, capsys, technique, k, noise_seed, message):
+        records = tmp_path / "records.csv"
+        ame.write_records_csv([ame.NuclideRecord(z=82, n=126, a=208, be_total=1636.43022,
+                                                 be_err=0.00125, estimated=False)], records)
+        assert run(["report", "--figure", "fig2", "--records", str(records), "--nuclide",
+                    "82,208", "--k", str(k), "--noise-seed", str(noise_seed),
+                    "--out", str(tmp_path)], capsys) == (
+            cli.EXIT_USAGE, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [records]
 
 
 class TestTopLevel:

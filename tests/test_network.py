@@ -82,10 +82,11 @@ class TestInit:
             assert np.all(b == 0.0)
 
     def test_glorot_scale(self):
-        # wide layer so the empirical std is tight around sqrt(2/(fi+fo))
-        spec = NetworkSpec((400,), input_dim=300)
+        # wide hidden->hidden layer so the empirical std is tight around
+        # sqrt(2/(fi+fo))
+        spec = NetworkSpec((300, 400))
         params = init_network(spec, 12)
-        W = params.weights[0]
+        W = params.weights[1]
         expected = math.sqrt(2.0 / (300 + 400))
         assert W.std() == pytest.approx(expected, rel=0.02)
         assert abs(W.mean()) < 3 * expected / math.sqrt(W.size)
@@ -308,8 +309,10 @@ class TestModelIO:
             save_model(model, path)
         finally:
             network.MODEL_FORMAT_VERSION = real
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DataIntegrityError) as exc:
             load_model(path)
+        assert str(exc.value) == (
+            f"{path} is not a model file: unsupported model format version {real + 1}")
 
     def test_file_keys_and_dims(self, tmp_path):
         model = train(NetworkSpec((4,)), identity_set(records(10)),
