@@ -8,9 +8,11 @@ Two techniques, both leaving (Z, A) untouched:
   Normal(be_total, be_err) are appended after the originals, so the rows
   for k-1 passes are a prefix of the rows for k passes under the same seed.
 
-A training set's rows are one numpy structured array (ROW_DTYPE) with the
-fields z, a, energy (MeV) and origin ("original", "err_plus", "err_minus"
-or "gauss_<i>").
+A training set's rows are one all-numeric numpy structured array
+(ROW_DTYPE) with the fields z, a, energy (MeV) and origin, an int64 code:
+0 for an original row, -1 and -2 for the plus- and minus-sigma rows, and i
+for a row of Gaussian pass i. The origin names ("original", "err_plus",
+"err_minus" and "gauss_<i>") appear only in the augmented CSV.
 
 Randomness is counter-based (Philox) and keyed by
 (noise_seed, resample_index, nucleus_index), so every draw is addressable and
@@ -30,19 +32,36 @@ import numpy as np
 from .ame import NuclideRecord, bad_field, csv_rows, write_csv
 from .errors import ConfigurationError, DataIntegrityError
 
-ORIGIN_ORIGINAL = "original"
-ORIGIN_ERR_PLUS = "err_plus"
-ORIGIN_ERR_MINUS = "err_minus"
+ORIGIN_ORIGINAL = 0
+ORIGIN_ERR_PLUS = -1
+ORIGIN_ERR_MINUS = -2
+_ORIGIN_NAMES = {ORIGIN_ORIGINAL: "original", ORIGIN_ERR_PLUS: "err_plus",
+                 ORIGIN_ERR_MINUS: "err_minus"}
+_ORIGIN_CODES = {name: code for code, name in _ORIGIN_NAMES.items()}
+_INT64_MAX = 2 ** 63 - 1
 
 
-def origin_gauss(resample_index: int) -> str:
-    return f"gauss_{resample_index}"
+def origin_name(code: int) -> str:
+    """The augmented CSV's name of an origin code; pass i >= 1 is gauss_<i>."""
+    return _ORIGIN_NAMES.get(code) or f"gauss_{code}"
 
 
-# origin is an object field, so all rows of a tag share one string; a
-# fixed-width unicode field would copy the tag into every row
+def origin_code(name: str) -> int:
+    """The code of an origin name exactly as origin_name prints it;
+    ConfigurationError for any other text."""
+    code = _ORIGIN_CODES.get(name)
+    if code is None:
+        index = name[6:] if name.startswith("gauss_") else ""
+        if not (index.isascii() and index.isdigit() and index[0] != "0"
+                and int(index) <= _INT64_MAX):
+            raise ConfigurationError(
+                "expected original, err_plus, err_minus or gauss_<i> with i >= 1")
+        code = int(index)
+    return code
+
+
 ROW_DTYPE = np.dtype([("z", np.int64), ("a", np.int64), ("energy", np.float64),
-                      ("origin", object)])
+                      ("origin", np.int64)])
 
 
 def _rows(z, a, energy, origin) -> np.ndarray:
@@ -54,9 +73,14 @@ def _rows(z, a, energy, origin) -> np.ndarray:
     return rows
 
 
+def _columns(records: list[NuclideRecord]) -> tuple[tuple, ...]:
+    """The records' fields, one tuple per field, in one transpose."""
+    return tuple(zip(*records)) if records else ((),) * len(NuclideRecord._fields)
+
+
 def _originals(train: list[NuclideRecord]) -> np.ndarray:
-    return _rows([r.z for r in train], [r.a for r in train],
-                 [r.be_total for r in train], ORIGIN_ORIGINAL)
+    z, _, a, be_total, _, _ = _columns(train)
+    return _rows(z, a, be_total, ORIGIN_ORIGINAL)
 
 
 @dataclass(frozen=True)
@@ -84,8 +108,9 @@ def error_resample(train: list[NuclideRecord]) -> AugmentedTrainingSet:
     """
     if not train:
         raise ConfigurationError("error_resample requires a nonempty training set")
-    base = _originals(train)
-    err = np.array([r.be_err for r in train])
+    z, _, a, be_total, be_err, _ = _columns(train)
+    base = _rows(z, a, be_total, ORIGIN_ORIGINAL)
+    err = np.array(be_err)
     shifted = err > 0
     plus, minus = base[shifted], base[shifted]
     plus["energy"] += err[shifted]
@@ -128,6 +153,7 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
         raise ConfigurationError("gaussian_resample requires a nonempty training set")
     n = len(train)
     rows = np.tile(_originals(train), 1 + k)
+    rows["origin"] = np.arange(1 + k).repeat(n)  # pass r's rows are gauss_<r>
     # One generator, re-keyed per cell: (r, i) only changes the key, and every
     # stream starts at counter 0 with an empty buffer. Gives the draws of a
     # fresh _stream(noise_seed, r, i) without building k * n generators.
@@ -136,7 +162,6 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
     key = start["state"]["key"]
     draws = []
     for r_idx in range(1, k + 1):
-        rows["origin"][r_idx * n:(r_idx + 1) * n] = origin_gauss(r_idx)
         for i, rec in enumerate(train):
             key[1] = (r_idx << 32) | i
             rng.bit_generator.state = start
@@ -203,21 +228,23 @@ def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], 
     """Canonical nuclide CSV extended with an `origin` column, plus a sidecar
     manifest (<path>.manifest.json) recording technique, k, base_size and seed."""
     err = {r.key: repr(r.be_err) for r in source}
+    names = {code: origin_name(code) for code in set(aug.rows["origin"].tolist())}
     # tolist() yields Python scalars, whose repr is the plain number
     write_csv(path, AUGMENTED_CSV_COLUMNS,
-              ((z, a - z, a, repr(energy), err[(z, a)], 0, origin)
+              ((z, a - z, a, repr(energy), err[(z, a)], 0, names[origin])
                for z, a, energy, origin in aug.rows.tolist()))
     manifest = {key: getattr(aug, key) for key in _SIDECAR_KEYS}
     with open(str(path) + ".manifest.json", "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-_AUGMENTED_CSV_TYPES = (int, int, int, float, float, int, str)
+_AUGMENTED_CSV_TYPES = (int, int, int, float, float, int, origin_code)
 
 
 def read_augmented_csv(path) -> AugmentedTrainingSet:
-    """Read a write_augmented_csv file; a malformed row, or an energy that is
-    not a finite number, raises MassTableParseError naming the line, and a
+    """Read a write_augmented_csv file; a malformed row, an energy that is
+    not a finite number, or an origin that origin_name does not print, raises
+    MassTableParseError naming the line and the field, and a
     sidecar that is not a JSON object of a level (check_level) and of these
     rows' base_size raises DataIntegrityError naming the sidecar."""
     z, a, energy, origin = [], [], [], []

@@ -50,8 +50,9 @@ def rms_error(predictions, targets) -> float:
 
 def score(model: TrainedModel, records: list[NuclideRecord]) -> tuple[np.ndarray, float]:
     """The model's predictions for the records, and their rms in MeV."""
-    pred = model.predict([r.z for r in records], [r.a for r in records])
-    return pred, rms_error(pred, [r.be_total for r in records])
+    z, _, a, be_total, _, _ = zip(*records)
+    pred = model.predict(z, a)
+    return pred, rms_error(pred, be_total)
 
 
 def pct_change(baseline: float, augmented: float) -> float:
@@ -97,14 +98,16 @@ class TrialSpec:
 
     def cache_key(self, data_tag: str) -> str:
         # "std=True;tstd=True" names the z-scoring that training always does;
-        # the literal text keeps the keys of already cached trials unchanged
+        # none and error draw nothing, so they are keyed "noise=0" whatever
+        # their noise seed. Both keep the keys of already cached trials.
+        noise = self.noise_seed if self.technique == "gaussian" else 0
         parts = (f"arch={self.arch_label};act={self.activation};"
                  f"aug={self.technique};k={self.k};seed={self.seed};"
                  f"opt={self.optimizer.algorithm};lr={self.optimizer.learning_rate!r};"
                  f"b1={self.optimizer.beta1!r};b2={self.optimizer.beta2!r};"
                  f"eps={self.optimizer.epsilon!r};rho={self.optimizer.rmsprop_decay!r};"
                  f"epochs={self.epochs};batch={self.batch_size};"
-                 f"noise={self.noise_seed};std=True;tstd=True;data={data_tag}")
+                 f"noise={noise};std=True;tstd=True;data={data_tag}")
         return hashlib.sha256(parts.encode()).hexdigest()[:32]
 
 
@@ -138,10 +141,11 @@ def result_row(res: TrialResult) -> list:
 
 
 def _leak_check(aug_set: augment.AugmentedTrainingSet,
-                held_out: Iterable[NuclideRecord]) -> None:
-    train_keys = set(zip(aug_set.rows["z"].tolist(), aug_set.rows["a"].tolist()))
-    leaked = [r.key for r in held_out if r.key in train_keys]
-    if leaked:
+                held_out: list[NuclideRecord]) -> None:
+    z, a = aug_set.rows["z"].tolist(), aug_set.rows["a"].tolist()
+    if not {r.key for r in held_out}.isdisjoint(zip(z, a)):
+        train_keys = set(zip(z, a))
+        leaked = [r.key for r in held_out if r.key in train_keys]
         raise ConfigurationError(f"held-out nuclei appear in training rows: {leaked[:5]}")
 
 
@@ -151,9 +155,7 @@ def run_trial(spec: TrialSpec, split: DatasetSplit,
     (and optionally the extrapolation set) against measured energies."""
     start = time.perf_counter()
     aug_set = augment.apply(spec.technique, spec.k, split.train, spec.noise_seed)
-    _leak_check(aug_set, split.test)
-    if extrapolation:
-        _leak_check(aug_set, extrapolation)
+    _leak_check(aug_set, split.test + (extrapolation or []))
 
     try:
         model = train(spec.network, aug_set, spec.train_config, spec.optimizer)

@@ -106,9 +106,8 @@ class TestGaussianResample:
                 direct[(record.z, record.a, pass_idx)] = augment.gaussian_draw(
                     record.be_total, record.be_err, stream)
         for pass_idx in (1, 2):
-            tag = augment.origin_gauss(pass_idx)
             for z, a, energy, origin in kept:
-                if origin == tag:
+                if origin == pass_idx:  # the code of gauss_<pass_idx>
                     assert energy == direct[(z, a, pass_idx)]
         assert others  # sanity
 
@@ -224,6 +223,36 @@ class TestLevels:
         assert str(exc.value) == message
 
 
+ORIGIN_RULE = "expected original, err_plus, err_minus or gauss_<i> with i >= 1"
+
+
+class TestOrigins:
+    @pytest.mark.parametrize("code, name", [
+        (augment.ORIGIN_ORIGINAL, "original"), (augment.ORIGIN_ERR_PLUS, "err_plus"),
+        (augment.ORIGIN_ERR_MINUS, "err_minus"), (1, "gauss_1"), (5, "gauss_5"),
+        (12, "gauss_12"), (2 ** 63 - 1, f"gauss_{2 ** 63 - 1}")])
+    def test_names_and_codes(self, code, name):
+        assert augment.origin_name(code) == name
+        assert augment.origin_code(name) == code
+
+    @pytest.mark.parametrize("text", [
+        "mixup", "gauss_0", "gauss_01", "x,y", "", "gauss_", "gauss_-1", "gauss_+1",
+        "gauss_1 ", " original", "Original", "gauss_\u0663", "gauss_\u00b2",
+        f"gauss_{2 ** 63}"])
+    def test_other_text_rejected(self, text):
+        with pytest.raises(ConfigurationError) as exc:
+            augment.origin_code(text)
+        assert str(exc.value) == ORIGIN_RULE
+
+    def test_rows_are_all_numeric(self):
+        for out in (augment.identity_set(SAMPLE), augment.error_resample(SAMPLE),
+                    augment.gaussian_resample(SAMPLE, 3, noise_seed=0)):
+            assert out.rows.dtype == augment.ROW_DTYPE
+            assert not out.rows.dtype.hasobject
+        gauss = augment.gaussian_resample(SAMPLE, 3, noise_seed=0).rows["origin"]
+        assert gauss.tolist() == [code for code in range(4) for _ in SAMPLE]
+
+
 class TestAugmentedCsv:
     def test_round_trip(self, tmp_path):
         out = augment.gaussian_resample(SAMPLE, 3, noise_seed=9)
@@ -245,6 +274,10 @@ class TestAugmentedCsv:
         ("8,8,16,-inf,0.01,0,gauss_1", "be_total_mev field '-inf' is not a finite"),
         ("8,8,16,127.619,nan,0,gauss_1", "be_err_mev field 'nan' is not a finite"),
         ("8,8,16,1e999,0.01,0,gauss_1", "be_total_mev field '1e999' is not a finite"),
+        ("8,8,16,127.619,0.01,0,mixup", f"origin field 'mixup': {ORIGIN_RULE}"),
+        ("8,8,16,127.619,0.01,0,gauss_0", f"origin field 'gauss_0': {ORIGIN_RULE}"),
+        ("8,8,16,127.619,0.01,0,gauss_01", f"origin field 'gauss_01': {ORIGIN_RULE}"),
+        ('8,8,16,127.619,0.01,0,"x,y"', f"origin field 'x,y': {ORIGIN_RULE}"),
     ])
     def test_bad_row_names_its_line(self, tmp_path, row, message):
         # read_augmented_csv and `nucaug train` on an augmented CSV

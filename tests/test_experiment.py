@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from nucaug import experiment
+from nucaug import augment, experiment
 from nucaug.ame import DatasetSplit, NuclideRecord
 from nucaug.augment import identity_set
 from nucaug.errors import ConfigurationError
@@ -147,6 +147,17 @@ class TestTrialSpec:
         assert toy_spec().cache_key("other") != base
         assert toy_spec(epochs=41).cache_key("tag") != base
 
+    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0)])
+    def test_noise_seed_does_not_key_levels_that_draw_nothing(self, technique, k):
+        keys = {toy_spec(technique=technique, k=k, noise_seed=seed).cache_key("tag")
+                for seed in (0, 1, 7)}
+        assert len(keys) == 1
+
+    def test_noise_seed_keys_gaussian(self):
+        keys = {toy_spec(technique="gaussian", k=2, noise_seed=seed).cache_key("tag")
+                for seed in (0, 1, 7)}
+        assert len(keys) == 3
+
 
 class TestRunTrial:
     def test_scores_and_status(self):
@@ -180,6 +191,26 @@ class TestRunTrial:
                              split_seed=0, ratio=0.7)
         with pytest.raises(ConfigurationError):
             run_trial(toy_spec(), leaky)
+
+    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0), ("gaussian", 2)])
+    def test_leak_into_extrapolation_names_the_keys(self, technique, k):
+        split = toy_split()
+        leaked = [split.train[3], split.train[7]]
+        extra = [rec(60, 70, 8.0 * 130), *leaked]
+        with pytest.raises(ConfigurationError) as exc:
+            run_trial(toy_spec(technique=technique, k=k), split, extra)
+        keys = [r.key for r in leaked]
+        assert str(exc.value) == f"held-out nuclei appear in training rows: {keys}"
+
+    def test_leaks_into_test_and_extrapolation_in_one_message(self):
+        split = toy_split()
+        leaky = DatasetSplit(train=split.train, test=split.test + split.train[:1],
+                             split_seed=0, ratio=0.7)
+        extra = [split.train[2]]
+        with pytest.raises(ConfigurationError) as exc:
+            run_trial(toy_spec(), leaky, extra)
+        keys = [split.train[0].key, split.train[2].key]
+        assert str(exc.value) == f"held-out nuclei appear in training rows: {keys}"
 
     def test_divergence_reported_not_raised(self):
         hot = OptimizerConfig(learning_rate=1e80)
@@ -295,6 +326,25 @@ class TestSweep:
         sweep(**self.AXES, optimizer=OptimizerConfig(), activation="relu",
               split=toy_split(seed=1), cache_dir=cache)
         assert len(os.listdir(cache)) == 8
+
+    def test_one_augmentation_per_trial(self, split, monkeypatch):
+        # what the benchmark's traced counts expect: augment.apply runs once
+        # per trial, and its rows sum to seeds x the levels' sizes
+        levels, seeds = [("error", 0), ("gaussian", 2)], [0, 1]
+        rows = []
+        apply = augment.apply
+
+        def counting_apply(*args):
+            out = apply(*args)
+            rows.append(len(out.rows))
+            return out
+
+        monkeypatch.setattr(augment, "apply", counting_apply)
+        table = sweep([((4,), 1, 512)], levels, seeds, optimizer=OptimizerConfig(),
+                      activation="relu", split=split)
+        assert len(table.trials) == len(rows) == len(levels) * len(seeds)
+        assert sum(rows) == len(seeds) * sum(
+            augment.level_size(split.train, technique, k) for technique, k in levels)
 
     def test_parallel_matches_serial(self, tmp_path):
         split = toy_split()
