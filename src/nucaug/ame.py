@@ -175,8 +175,11 @@ def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
     return records
 
 
+Z_N_MIN = 8  # the smallest Z and N of the study's nuclei
+
+
 def filter_experimental(records: Iterable[NuclideRecord],
-                        z_min: int = 8, n_min: int = 8) -> list[NuclideRecord]:
+                        z_min: int = Z_N_MIN, n_min: int = Z_N_MIN) -> list[NuclideRecord]:
     """Keep measured (non-estimated) nuclei with z >= z_min and n >= n_min."""
     return [r for r in records
             if r.z >= z_min and r.n >= n_min and not r.estimated]

@@ -86,16 +86,19 @@ def _originals(train: list[NuclideRecord]) -> np.ndarray:
 @dataclass(frozen=True)
 class AugmentedTrainingSet:
     rows: np.ndarray        # ROW_DTYPE
-    base_size: int
     technique: str          # "none", "error" or "gaussian"
     k: int = 0              # resample count, gaussian only
     noise_seed: int | None = None
 
+    @property
+    def base_size(self) -> int:
+        """The number of original rows."""
+        return int(np.count_nonzero(self.rows["origin"] == ORIGIN_ORIGINAL))
+
 
 def identity_set(train: list[NuclideRecord]) -> AugmentedTrainingSet:
     """The un-augmented training set (technique "none")."""
-    return AugmentedTrainingSet(rows=_originals(train), base_size=len(train),
-                                technique="none")
+    return AugmentedTrainingSet(rows=_originals(train), technique="none")
 
 
 def error_resample(train: list[NuclideRecord]) -> AugmentedTrainingSet:
@@ -118,7 +121,7 @@ def error_resample(train: list[NuclideRecord]) -> AugmentedTrainingSet:
     minus["energy"] -= err[shifted]
     minus["origin"] = ORIGIN_ERR_MINUS
     rows = np.concatenate([base, plus, minus])
-    return AugmentedTrainingSet(rows=rows, base_size=len(train), technique="error")
+    return AugmentedTrainingSet(rows=rows, technique="error")
 
 
 def _stream(noise_seed: int, resample_index: int, nucleus_index: int) -> np.random.Generator:
@@ -167,8 +170,7 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
             rng.bit_generator.state = start
             draws.append(gaussian_draw(rec.be_total, rec.be_err, rng))
     rows["energy"][n:] = draws
-    return AugmentedTrainingSet(rows=rows, base_size=len(train),
-                                technique="gaussian", k=k, noise_seed=noise_seed)
+    return AugmentedTrainingSet(rows=rows, technique="gaussian", k=k, noise_seed=noise_seed)
 
 
 TECHNIQUES = ("none", "error", "gaussian")
@@ -220,7 +222,7 @@ def level_size(train: list[NuclideRecord], technique: str, k: int) -> int:
 
 
 AUGMENTED_CSV_COLUMNS = ["z", "n", "a", "be_total_mev", "be_err_mev", "estimated", "origin"]
-# the AugmentedTrainingSet fields that the sidecar manifest holds
+# the AugmentedTrainingSet attributes that the sidecar manifest holds
 _SIDECAR_KEYS = ("base_size", "k", "noise_seed", "technique")
 
 
@@ -273,7 +275,8 @@ def read_augmented_csv(path) -> AugmentedTrainingSet:
         if (type(base), base) != (int, originals):
             raise ValueError(f"base_size {base!r} is not the {originals} original rows")
     except FileNotFoundError:
-        return AugmentedTrainingSet(rows=rows, base_size=len(rows), technique="none")
+        return AugmentedTrainingSet(rows=rows, technique="none")
     except ValueError as exc:  # not JSON, not text, or not a sidecar of these rows
         raise DataIntegrityError(f"bad augmented-CSV sidecar {sidecar}: {exc}") from None
-    return AugmentedTrainingSet(rows=rows, **{key: manifest[key] for key in _SIDECAR_KEYS})
+    return AugmentedTrainingSet(rows=rows, technique=manifest["technique"], k=manifest["k"],
+                                noise_seed=manifest["noise_seed"])

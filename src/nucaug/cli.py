@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import math
 import os
@@ -156,14 +157,13 @@ _REQUIRED = object()
 # anything else is rejected, and a key whose default is _REQUIRED must be set
 SWEEP_CONFIG_KEYS = {
     "data": {"ame2016": (str, _REQUIRED), "ame2020": (str, None),
-             "z_min": (int, 8), "n_min": (int, 8)},
+             "z_min": (int, ame.Z_N_MIN), "n_min": (int, ame.Z_N_MIN)},
     "split": {"ratio": (float, 0.7), "seed": (int, 0)},
     "sweep": {"architectures": (_parse_architectures, _REQUIRED),
               "levels": (_parse_levels, _REQUIRED), "seeds": (_parse_seeds, _REQUIRED),
-              "noise_seed": (int, 0), "activation": (str, "relu")},
-    "optimizer": {"algorithm": (str, "adam"), "learning_rate": (float, 0.001),
-                  "beta1": (float, 0.9), "beta2": (float, 0.99), "epsilon": (float, 1e-8),
-                  "rmsprop_decay": (float, 0.9)},
+              "noise_seed": (int, 0), "activation": (str, network.NetworkSpec.activation)},
+    "optimizer": {field.name: (type(field.default), field.default)
+                  for field in dataclasses.fields(OptimizerConfig)},
 }
 
 
@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", help="write filtered records here")
     p.add_argument("--diff", metavar="OLD_CSV",
                    help="emit only nuclei absent from this earlier canonical CSV")
-    p.add_argument("--z-min", type=int, default=8)
-    p.add_argument("--n-min", type=int, default=8)
+    p.add_argument("--z-min", type=int, default=ame.Z_N_MIN)
+    p.add_argument("--n-min", type=int, default=ame.Z_N_MIN)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("augment", help="augment a canonical CSV of training records")
@@ -332,14 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one network on a training CSV")
     p.add_argument("train_csv", help="canonical or augmented CSV")
     p.add_argument("--arch", required=True, help="hidden widths, e.g. 32-16-8")
-    p.add_argument("--activation", default="relu", choices=network.ACTIVATIONS)
+    p.add_argument("--activation", default=network.NetworkSpec.activation,
+                   choices=network.ACTIVATIONS)
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--batch", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--optimizer", default="adam", choices=ALGORITHMS)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.99)
+    p.add_argument("--optimizer", default=OptimizerConfig.algorithm, choices=ALGORITHMS)
+    p.add_argument("--lr", type=float, default=OptimizerConfig.learning_rate)
+    p.add_argument("--beta1", type=float, default=OptimizerConfig.beta1)
+    p.add_argument("--beta2", type=float, default=OptimizerConfig.beta2)
     p.add_argument("--out", required=True, help="model file (.npz)")
     p.set_defaults(func=cmd_train)
 

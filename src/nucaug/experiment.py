@@ -24,9 +24,9 @@ import numpy as np
 from . import augment
 from .ame import DatasetSplit, NuclideRecord, bad_field, csv_rows, write_csv
 from .errors import ConfigurationError, MassTableParseError, TrainingDivergedError
-from .network import (NetworkSpec, TrainConfig, TrainedModel, arch_label, loss_mse,
-                      parse_arch, train)
-from .optimizers import OptimizerConfig
+from .network import (ACTIVATIONS, NetworkSpec, TrainConfig, TrainedModel, arch_label,
+                      loss_mse, parse_arch, train)
+from .optimizers import ALGORITHMS, OptimizerConfig
 
 # (hidden widths, epochs, batch size) used throughout the baseline study
 ARCH_SETTINGS: list[tuple[tuple[int, ...], int, int]] = [
@@ -125,6 +125,11 @@ class TrialResult:
         return self.status == "ok"
 
 
+def _is_status(status) -> bool:
+    """True for a status that run_trial writes: "ok" or "failed: <reason>"."""
+    return type(status) is str and (status == "ok" or status.startswith("failed: "))
+
+
 RESULTS_COLUMNS = ["arch", "augmentation", "k", "optimizer", "activation", "seed",
                    "rms_test_mev", "rms_extrap_mev", "final_train_loss",
                    "epochs", "batch", "status"]
@@ -201,17 +206,57 @@ def _number_or_empty(text: str) -> str:
     return text
 
 
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ConfigurationError(f"must be an integer >= {low}")
+        return value
+    return integer
+
+
+def _one_of(names: tuple[str, ...]):
+    def name(text: str) -> str:
+        if text not in names:
+            raise ConfigurationError(f"expected one of {', '.join(names)}")
+        return text
+    return name
+
+
+def _status(text: str) -> str:
+    if not _is_status(text):
+        raise ConfigurationError("expected ok or failed: <reason>")
+    return text
+
+
 # what each results column must read as
-_RESULTS_TYPES = (parse_arch, str, int, str, str, int, _number_or_empty, _number_or_empty,
-                  _number_or_empty, int, int, str)
+_RESULTS_TYPES = (parse_arch, str, int, _one_of(ALGORITHMS), _one_of(ACTIVATIONS),
+                  _at_least(0), _number_or_empty, _number_or_empty, _number_or_empty,
+                  _at_least(1), _at_least(1), _status)
+
+
+def _check_metrics(row: list[str]) -> None:
+    """An ok trial has rms_test_mev and final_train_loss (rms_extrap_mev is
+    empty for a sweep without an extrapolation set); a failed one has no metric."""
+    if row[11] == "ok":
+        for name, text in (("rms_test_mev", row[6]), ("final_train_loss", row[8])):
+            if not text:
+                raise ConfigurationError(f"an ok trial needs a {name}")
+    else:
+        for name, text in zip(RESULTS_COLUMNS[6:9], row[6:9]):
+            if text:
+                raise ConfigurationError(f"a failed trial has no {name}, got {text!r}")
 
 
 def read_results_csv(path) -> list[dict]:
     """Result rows, as dicts of their CSV text, from a ResultTable.write_csv
     file. A wrong header, a short or long row, an arch that is not hyphenated
-    integers >= 1, a k, seed, epochs or batch that is not an integer, an
-    augmentation and k that are no level (augment.check_level), or a metric
-    that is neither empty nor a number >= 0 raises MassTableParseError
+    integers >= 1, a k that is not an integer, a seed that is not an integer
+    >= 0, epochs or batch that are not integers >= 1, an optimizer or
+    activation that the package does not have, an augmentation and k that are
+    no level (augment.check_level), a metric that is neither empty nor a
+    number >= 0, a status that is not ok or failed: <reason>, or metrics that
+    do not match the status (_check_metrics) raises MassTableParseError
     naming the line."""
     rows = []
     for line_no, row in csv_rows(path, RESULTS_COLUMNS):
@@ -222,6 +267,7 @@ def read_results_csv(path) -> list[dict]:
             raise bad_field(line_no, RESULTS_COLUMNS, _RESULTS_TYPES, row) from None
         try:
             augment.check_level(row[1], int(row[2]), 0)  # the CSV records no noise seed
+            _check_metrics(row)
         except ConfigurationError as exc:
             raise MassTableParseError(line_no, str(exc)) from None
         rows.append(dict(zip(RESULTS_COLUMNS, row)))
@@ -252,14 +298,24 @@ _CACHED_FIELDS = ("rms_test", "rms_extrapolation", "final_train_loss", "status",
 
 
 def _cached_result(spec: TrialSpec, cache_dir: str, data_tag: str) -> TrialResult | None:
-    """The stored result, or None if it is missing, unreadable or partial."""
+    """The stored result, or None unless the file holds what _store_result
+    writes: a status that run_trial writes, numbers for the metrics and
+    wall_time (rms_extrapolation may be null), and no negative metric in an
+    ok result. A file without wall_time, from before it was stored, reads 0.0."""
     path = os.path.join(cache_dir, spec.cache_key(data_tag) + ".json")
     try:
         with open(path) as fh:
             payload = {"wall_time": 0.0, **json.load(fh)}
-        return TrialResult(spec=spec, **{name: payload[name] for name in _CACHED_FIELDS})
+        res = TrialResult(spec=spec, **{name: payload[name] for name in _CACHED_FIELDS})
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
+    metrics = [res.rms_test, res.final_train_loss]
+    if res.rms_extrapolation is not None:
+        metrics.append(res.rms_extrapolation)
+    numbers = all(type(v) in (int, float) for v in [*metrics, res.wall_time])  # no bool
+    if _is_status(res.status) and numbers and not (res.ok and any(v < 0 for v in metrics)):
+        return res
+    return None
 
 
 def _store_result(res: TrialResult, cache_dir: str, data_tag: str) -> None:
@@ -299,7 +355,7 @@ def build_trial_specs(architectures, levels, seeds, optimizer: OptimizerConfig,
 def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
           activation: str, split: DatasetSplit,
           extrapolation: list[NuclideRecord] | None = None,
-          noise_seed: int = 0, cache_dir: str | None = None, jobs: int = 1,
+          noise_seed: int = 0, *, cache_dir: str, jobs: int = 1,
           progress=None) -> ResultTable:
     """Run (or resume) the full Cartesian sweep; results are order-independent.
 
@@ -311,13 +367,12 @@ def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
     specs = build_trial_specs(architectures, levels, seeds, optimizer,
                               activation, noise_seed)
     data_tag = dataset_tag(split, extrapolation)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
+    os.makedirs(cache_dir, exist_ok=True)
 
     table = ResultTable()
     pending = []
     for spec in specs:
-        cached = _cached_result(spec, cache_dir, data_tag) if cache_dir else None
+        cached = _cached_result(spec, cache_dir, data_tag)
         if cached is not None:
             table.add(cached)
             if progress:
@@ -334,8 +389,7 @@ def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
             results = (run_trial(spec, split, extrapolation) for spec in pending)
         try:
             for res in results:
-                if cache_dir:
-                    _store_result(res, cache_dir, data_tag)
+                _store_result(res, cache_dir, data_tag)
                 table.add(res)
                 if progress:
                     progress(res, cached=False)

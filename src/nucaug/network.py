@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,9 +205,9 @@ class TrainedModel:
     params: NetworkParams
     input_mean: np.ndarray   # per-input-feature, from the original training rows
     input_std: np.ndarray
-    target_mean: float = 0.0
-    target_std: float = 1.0
-    loss_history: list[float] = field(default_factory=list)  # MeV^2 per epoch
+    target_mean: float
+    target_std: float
+    loss_history: list[float]  # MeV^2 per epoch
 
     def predict(self, z, a) -> np.ndarray:
         X = np.column_stack([np.asarray(z, dtype=np.float64).ravel(),

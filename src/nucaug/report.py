@@ -34,17 +34,18 @@ FIGURES = {
     "table1": lambda rows: table_error_augmentation(rows),
     "table2": lambda rows: table_gaussian(rows, "rms_test_mev"),
     "table3": lambda rows: table_gaussian(rows, "rms_extrap_mev"),
-    "fig3": lambda rows: rms_vs_resampling(rows, column="rms_test_mev"),
-    "fig4": lambda rows: per_seed_traces(rows, column="rms_test_mev"),
-    "fig5": lambda rows: rms_vs_resampling(rows, column="rms_extrap_mev"),
+    "fig3": lambda rows: rms_vs_resampling(rows, "rms_test_mev"),
+    "fig4": lambda rows: per_seed_traces(rows, "rms_test_mev"),
+    "fig5": lambda rows: rms_vs_resampling(rows, "rms_extrap_mev"),
     "fig6": lambda rows: optimizer_comparison(rows),
-    "fig7": lambda rows: per_seed_traces(rows, column="rms_extrap_mev"),
+    "fig7": lambda rows: per_seed_traces(rows, "rms_extrap_mev"),
     "fig8": lambda rows: activation_comparison(rows),
 }
 
 FIG3_ARCHS = ["128", "32-32", "32-16-8", "32-16-16-8"]
 STABILITY_ARCH = "32-16-8"
 STABILITY_LEVELS = ["none", "gaussian2", "gaussian5"]
+TABLE_MAX_K = 5
 
 
 def _cell(row: dict) -> tuple[str, str, int]:
@@ -107,13 +108,12 @@ def table_error_augmentation(rows: list[dict]) -> tuple[list[str], list[list]]:
     return header, out
 
 
-def table_gaussian(rows: list[dict], column: str = "rms_test_mev",
-                   max_k: int = 5) -> tuple[list[str], list[list]]:
-    """Mean rms per architecture for k = 0 (none) .. max_k gaussian passes."""
+def table_gaussian(rows: list[dict], column: str) -> tuple[list[str], list[list]]:
+    """Mean rms per architecture for k = 0 (none) .. TABLE_MAX_K gaussian passes."""
     _one_setting(rows)
     means = _group_means(rows, column)
-    levels = [("none", 0)] + [("gaussian", k) for k in range(1, max_k + 1)]
-    header = ["arch"] + [f"rms_k{k}_mev" for k in range(0, max_k + 1)]
+    levels = [("none", 0)] + [("gaussian", k) for k in range(1, TABLE_MAX_K + 1)]
+    header = ["arch"] + [f"rms_k{k}_mev" for k in range(0, TABLE_MAX_K + 1)]
     out = []
     for arch in _archs_in(rows):
         cells = [means.get((arch, *level)) for level in levels]
@@ -121,12 +121,11 @@ def table_gaussian(rows: list[dict], column: str = "rms_test_mev",
     return header, out
 
 
-def rms_vs_resampling(rows: list[dict], archs: list[str] | None = None,
-                      column: str = "rms_test_mev") -> tuple[list[str], list[list]]:
-    """Long-format mean rms vs resample count, for the figure curves."""
+def rms_vs_resampling(rows: list[dict], column: str) -> tuple[list[str], list[list]]:
+    """Long-format mean rms vs resample count for the FIG3_ARCHS present."""
     _one_setting(rows)
     means = _group_means(rows, column)
-    archs = archs or [a for a in FIG3_ARCHS if a in _archs_in(rows)]
+    archs = [a for a in FIG3_ARCHS if a in _archs_in(rows)]
     header = ["arch", "resamples", "mean_rms_mev"]
     out = []
     for arch in archs:
@@ -139,47 +138,41 @@ def rms_vs_resampling(rows: list[dict], archs: list[str] | None = None,
     return header, out
 
 
-def per_seed_traces(rows: list[dict], arch: str = STABILITY_ARCH,
-                    levels: list[str] | None = None,
-                    column: str = "rms_test_mev") -> tuple[list[str], list[list]]:
-    """Per-seed rms for one architecture at a few augmentation levels."""
+def per_seed_traces(rows: list[dict], column: str) -> tuple[list[str], list[list]]:
+    """Per-seed rms of STABILITY_ARCH at each of STABILITY_LEVELS."""
     _one_setting(rows)
-    levels = levels or STABILITY_LEVELS
     header = ["level", "seed", "rms_mev"]
     out = []
-    for lvl in levels:
-        cell = (arch, *augment.parse_level(lvl))
+    for lvl in STABILITY_LEVELS:
+        cell = (STABILITY_ARCH, *augment.parse_level(lvl))
         cells = sorted((int(r["seed"]), _metric(r, column)) for r in rows
                        if _cell(r) == cell and _metric(r, column) is not None)
         if not cells:
-            raise IncompleteDataError([(arch, lvl)])
+            raise IncompleteDataError([(STABILITY_ARCH, lvl)])
         for seed, v in cells:
             out.append([lvl, seed, f"{v:.3f}"])
     return header, out
 
 
-def _setting_comparison(rows: list[dict], setting: str, arch: str,
-                        column: str) -> tuple[list[str], list[list]]:
-    """Mean rms of one arch per setting value and level, ordered by both."""
-    means = _group_means(rows, column, key=lambda row: (row[setting], *_cell(row)))
+def _setting_comparison(rows: list[dict], setting: str) -> tuple[list[str], list[list]]:
+    """Mean test rms of STABILITY_ARCH per setting value and level, ordered by both."""
+    means = _group_means(rows, "rms_test_mev", key=lambda row: (row[setting], *_cell(row)))
     header = [setting, "arch", "resamples", "mean_rms_mev"]
     cells = sorted((value, augment.level_label(technique, k), k, v)
                    for (value, a, technique, k), v in means.items()
-                   if a == arch and technique != "error")
-    out = [[value, arch, k, f"{v:.3f}"] for value, _, k, v in cells]
+                   if a == STABILITY_ARCH and technique != "error")
+    out = [[value, STABILITY_ARCH, k, f"{v:.3f}"] for value, _, k, v in cells]
     if not out:
-        raise IncompleteDataError([arch])
+        raise IncompleteDataError([STABILITY_ARCH])
     return header, out
 
 
-def optimizer_comparison(rows: list[dict], arch: str = STABILITY_ARCH,
-                         column: str = "rms_test_mev") -> tuple[list[str], list[list]]:
-    return _setting_comparison(rows, "optimizer", arch, column)
+def optimizer_comparison(rows: list[dict]) -> tuple[list[str], list[list]]:
+    return _setting_comparison(rows, "optimizer")
 
 
-def activation_comparison(rows: list[dict], arch: str = STABILITY_ARCH,
-                          column: str = "rms_test_mev") -> tuple[list[str], list[list]]:
-    return _setting_comparison(rows, "activation", arch, column)
+def activation_comparison(rows: list[dict]) -> tuple[list[str], list[list]]:
+    return _setting_comparison(rows, "activation")
 
 
 def gaussian_illustration(record: NuclideRecord, k: int,

@@ -263,7 +263,8 @@ class TestSweepCoverageCheck:
 
         rows = read_results_csv(path)
         dropped = rows.pop(0)
-        rows[0]["status"] = "failed: diverged"
+        rows[0].update(rms_test_mev="", rms_extrap_mev="", final_train_loss="",
+                       status="failed: diverged")  # as result_row writes a failed trial
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(dropped))
             writer.writeheader()

@@ -464,6 +464,12 @@ class TestSweepConfig:
         assert sweep["seeds"] == list(range(10))
         assert opt.algorithm == "adam"
 
+    def test_optimizer_section_defaults_to_optimizer_config(self, tmp_path):
+        config = tmp_path / "sweep.ini"
+        config.write_text(self.VALID[:self.VALID.index("[optimizer]")])
+        assert "[optimizer]" not in config.read_text()
+        assert cli._load_sweep_config(str(config))[3] == OptimizerConfig()
+
     @pytest.mark.parametrize("old, new", [
         ("levels = none gaussian1", "levels = gaussian"),
         ("seeds = 0 1", "seeds = a..b"),
@@ -543,18 +549,27 @@ CSV_JUNK = st.one_of(
 )
 ENERGY = st.one_of(st.floats(0, 3000), st.floats())
 RESULTS_HEADER = ",".join(experiment.RESULTS_COLUMNS)
-METRIC = st.one_of(st.just(""), ENERGY.map(repr), st.sampled_from(["0", "-1"]))
+NUMBER = st.one_of(ENERGY.map(repr), st.sampled_from(["0", "-1"]))
+METRIC = st.one_of(st.just(""), NUMBER)
+# (metrics, status): mostly as a sweep writes them, so that most texts reach
+# a figure builder, and sometimes in any combination
+METRICS_AND_STATUS = st.one_of(
+    st.tuples(st.tuples(NUMBER, METRIC, NUMBER), st.just("ok")),
+    st.just((("", "", ""), "failed: diverged")),
+    st.tuples(st.tuples(METRIC, METRIC, METRIC), st.sampled_from(["ok", "failed: diverged"])))
 # a results row of the right field types, though its values may make no
-# sense (the reader rejects an arch of 0 and a negative metric); the junk line
-# of csv_texts and TestStrictResultsCsv supply the rows of other types.
-# One optimizer and activation, so that most texts reach a figure builder.
+# sense (the reader rejects an arch of 0, a negative seed or metric, and
+# metrics that do not match the status); the junk line of csv_texts and
+# TestStrictResultsCsv supply the rows of other types. One optimizer and
+# activation, so that most texts reach a figure builder.
 RESULTS_RECORD = st.builds(
-    lambda *fields: ",".join(map(str, fields)),
+    lambda arch, technique, k, seed, metrics_status, epochs, batch: ",".join(map(str, [
+        arch, technique, k, "adam", "relu", seed, *metrics_status[0], epochs, batch,
+        metrics_status[1]])),
     st.sampled_from(["128", "32-16-8", "32-32", "0"]),
-    st.sampled_from(["none", "error", "gaussian"]), st.integers(0, 6), st.just("adam,relu"),
-    st.one_of(st.integers(0, 9), st.integers()), METRIC, METRIC, METRIC,
-    st.integers(1, 5000), st.sampled_from([32, 64]),
-    st.sampled_from(["ok", "failed: diverged"]))
+    st.sampled_from(["none", "error", "gaussian"]), st.integers(0, 6),
+    st.one_of(st.integers(0, 9), st.integers()), METRICS_AND_STATUS,
+    st.integers(1, 5000), st.sampled_from([32, 64]))
 
 
 @st.composite
@@ -601,6 +616,21 @@ class TestCsvReaderFuzz:
     @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',none,3,')}\n"
                   f"{RESULTS_ROW}\n")
     @example(text=OVERFLOWING_MEAN)
+    # rows that no sweep writes, which the reports once dropped without a word
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',relu,0,', ',relu,-3,')}\n"
+                  f"{ERROR_ROW}\n")
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',3500,', ',0,')}\n{ERROR_ROW}\n")
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',64,', ',-64,')}\n{ERROR_ROW}\n")
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',adam,', ',sgd,')}\n"
+                  f"{ERROR_ROW.replace(',adam,', ',sgd,')}\n")
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',relu,', ',softplus,')}\n"
+                  f"{ERROR_ROW.replace(',relu,', ',softplus,')}\n")
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW}\n"
+                  f"{RESULTS_ROW.replace(',relu,0,2.0,2.5,0.1,', ',relu,1,,,,')}\n{ERROR_ROW}\n")
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',ok', ',banana')}\n{ERROR_ROW}\n")
+    @example(text=f"{RESULTS_HEADER}\n{RESULTS_ROW}\n"
+                  f"{RESULTS_ROW.replace(',relu,0,', ',relu,1,').replace(',ok', ',failed: x')}\n"
+                  f"{ERROR_ROW}\n")
     @settings(max_examples=150, deadline=None)
     def test_any_text(self, tmp_path_factory, text):
         base = tmp_path_factory.getbasetemp()
@@ -644,8 +674,10 @@ class TestCsvReaderFuzz:
 
 class TestStrictResultsCsv:
     """`nucaug report` reads the results CSV strictly: anything but the
-    results header, rows of its width, integer k, seed, epochs and batch,
-    and metrics that are empty or numbers is a data error naming the line."""
+    results header, rows of its width, integer k, seed >= 0, epochs and
+    batch >= 1, the package's optimizers and activations, metrics that are
+    empty or numbers, a status of ok or failed: <reason>, and metrics that
+    match the status is a data error naming the line."""
 
     @pytest.mark.parametrize("text, message", [
         (",".join(ame.CSV_COLUMNS) + "\n8,8,16,127.619,0.01,0\n",
@@ -678,9 +710,33 @@ class TestStrictResultsCsv:
          "line 2: error takes k = 0, got k=-1"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',gaussian,0,')}\n",
          "line 2: gaussian takes k >= 1, got k=0"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',relu,0,', ',relu,-3,')}\n",
+         "line 2: seed field '-3': must be an integer >= 0"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',3500,', ',0,')}\n",
+         "line 3: epochs field '0': must be an integer >= 1"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',64,', ',-64,')}\n",
+         "line 2: batch field '-64': must be an integer >= 1"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',adam,', ',sgd,')}\n",
+         "line 2: optimizer field 'sgd': expected one of adam, nadam, adamax, rmsprop"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',relu,', ',softplus,')}\n",
+         "line 2: activation field 'softplus': expected one of relu, tanh, sigmoid"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',ok', ',banana')}\n",
+         "line 2: status field 'banana': expected ok or failed: <reason>"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',ok', ',failed:x')}\n",
+         "line 2: status field 'failed:x': expected ok or failed: <reason>"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,2.5,0.1,', ',,,,')}\n",
+         "line 2: an ok trial needs a rms_test_mev"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',0.1,', ',,')}\n",
+         "line 2: an ok trial needs a final_train_loss"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',ok', ',failed: x')}\n",
+         "line 2: a failed trial has no rms_test_mev, got '2.0'"),
+        (f"{RESULTS_HEADER}\n32-16-8,none,0,adam,relu,0,,,0.1,3500,64,failed: x\n",
+         "line 2: a failed trial has no final_train_loss, got '0.1'"),
     ], ids=["canonical", "empty", "short", "long", "k", "seed", "rms", "epochs", "arch",
             "augmentation", "arch_width_0", "negative_rms", "negative_loss", "none_k3",
-            "error_k_negative", "gaussian_k0"])
+            "error_k_negative", "gaussian_k0", "negative_seed", "epochs_0", "negative_batch",
+            "optimizer", "activation", "status", "status_no_space", "ok_no_metrics",
+            "ok_no_loss", "failed_with_metrics", "failed_with_loss"])
     @pytest.mark.parametrize("figure", ["table1", "table2", "fig4", "fig6"])
     def test_bad_results_is_data_error(self, tmp_path, capsys, text, message, figure):
         path = tmp_path / "results.csv"
@@ -729,13 +785,15 @@ class TestStrictResultsCsv:
         assert (code, err) == (cli.EXIT_DATA, f"data error: {path} is not UTF-8 text\n")
 
     def test_empty_metrics_and_blank_lines_read(self, tmp_path, capsys):
-        # a failed trial has empty metrics; blank lines are skipped
+        # a failed trial has empty metrics, as has the extrapolation metric of
+        # an ok trial in a sweep without AME2020; blank lines are skipped
         failed = "32-16-8,none,0,adam,relu,1,,,,3500,64,failed: diverged"
+        no_extrap = "32-16-8,none,0,adam,relu,2,2.0,,0.1,3500,64,ok"
         path = tmp_path / "results.csv"
-        path.write_text(f"{RESULTS_HEADER}\n\n{RESULTS_ROW}\n{failed}\n\n")
+        path.write_text(f"{RESULTS_HEADER}\n\n{RESULTS_ROW}\n{failed}\n\n{no_extrap}\n")
         rows = experiment.read_results_csv(path)
-        assert [list(row.values()) for row in rows] == [RESULTS_ROW.split(","),
-                                                       failed.split(",")]
+        assert [list(row.values()) for row in rows] == [
+            RESULTS_ROW.split(","), failed.split(","), no_extrap.split(",")]
         code, _, _ = run(["report", str(path), "--figure", "table2",
                           "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_OK
@@ -880,6 +938,15 @@ class TestLevelRule:
 
 
 class TestTopLevel:
+    def test_flag_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["train", "t.csv", "--arch", "4", "--epochs", "1", "--batch", "1", "--out", "m"])
+        assert OptimizerConfig(algorithm=args.optimizer, learning_rate=args.lr,
+                               beta1=args.beta1, beta2=args.beta2) == OptimizerConfig()
+        assert args.activation == "relu"
+        args = cli.build_parser().parse_args(["ingest", "mass.txt", "--edition", "AME2016"])
+        assert (args.z_min, args.n_min) == (8, 8)
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

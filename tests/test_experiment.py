@@ -287,6 +287,48 @@ class TestTrialCache:
         else:
             assert cached == dataclasses.replace(self.RESULT, wall_time=wall_time)
 
+    @pytest.mark.parametrize("change", [
+        {"rms_test": "x"}, {"rms_test": None}, {"rms_test": True},
+        {"final_train_loss": "0.25"}, {"rms_extrapolation": "2.0"},
+        {"rms_extrapolation": False}, {"wall_time": None}, {"wall_time": "3.0"},
+        {"status": "banana"}, {"status": "failed:x"}, {"status": None}, {"status": ["ok"]},
+        {"rms_test": -1.5}, {"final_train_loss": -0.25}, {"rms_extrapolation": -2.0},
+    ], ids=["rms_text", "rms_null", "rms_bool", "loss_text", "extrap_text", "extrap_bool",
+            "wall_time_null", "wall_time_text", "status_banana", "status_no_space",
+            "status_null", "status_list", "negative_rms", "negative_loss",
+            "negative_extrap"])
+    def test_file_the_sweep_does_not_write_is_retrained(self, tmp_path, change):
+        split = toy_split()
+        cache = str(tmp_path / "trials")
+        axes = dict(architectures=[((6, 4), 40, 8)], levels=[("none", 0)], seeds=[0, 1],
+                    optimizer=OptimizerConfig(), activation="relu", split=split,
+                    cache_dir=cache)
+        first = sweep(**axes)
+        path = os.path.join(cache, toy_spec(seed=1).cache_key(dataset_tag(split)) + ".json")
+        with open(path) as fh:
+            payload = {**json.load(fh), **change}
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert experiment._cached_result(toy_spec(seed=1), cache, dataset_tag(split)) is None
+
+        seen = []
+        again = sweep(**axes, progress=lambda res, cached: seen.append((res.spec.seed, cached)))
+        assert sorted(seen) == [(0, True), (1, False)]
+        results = tmp_path / "results.csv"
+        again.write_csv(results)
+        assert read_results_csv(results) == [
+            dict(zip(experiment.RESULTS_COLUMNS, map(str, result_row(res))))
+            for res in first.sorted_trials()]
+        # the retrained trial's file was overwritten, so it is a hit from now on
+        assert experiment._cached_result(toy_spec(seed=1), cache, dataset_tag(split)) is not None
+
+    def test_failed_result_round_trips(self, tmp_path):
+        failed = dataclasses.replace(self.RESULT, rms_test=math.nan, final_train_loss=math.nan,
+                                     status="failed: non-finite training loss at epoch 2")
+        experiment._store_result(failed, str(tmp_path), "tag")
+        cached = experiment._cached_result(failed.spec, str(tmp_path), "tag")
+        assert cached.status == failed.status and math.isnan(cached.rms_test)
+
 
 class TestSweep:
     AXES = dict(architectures=[((6, 4), 40, 8)],
@@ -295,9 +337,9 @@ class TestSweep:
     def test_full_grid_and_determinism(self, tmp_path):
         split = toy_split()
         t1 = sweep(**self.AXES, optimizer=OptimizerConfig(), activation="relu",
-                   split=split)
+                   split=split, cache_dir=str(tmp_path / "first"))
         t2 = sweep(**self.AXES, optimizer=OptimizerConfig(), activation="relu",
-                   split=split)
+                   split=split, cache_dir=str(tmp_path / "second"))
         assert len(t1.trials) == 4
         rows1 = [result_row(r) for r in t1.sorted_trials()]
         rows2 = [result_row(r) for r in t2.sorted_trials()]
@@ -327,7 +369,7 @@ class TestSweep:
               split=toy_split(seed=1), cache_dir=cache)
         assert len(os.listdir(cache)) == 8
 
-    def test_one_augmentation_per_trial(self, split, monkeypatch):
+    def test_one_augmentation_per_trial(self, split, monkeypatch, tmp_path):
         # what the benchmark's traced counts expect: augment.apply runs once
         # per trial, and its rows sum to seeds x the levels' sizes
         levels, seeds = [("error", 0), ("gaussian", 2)], [0, 1]
@@ -341,7 +383,7 @@ class TestSweep:
 
         monkeypatch.setattr(augment, "apply", counting_apply)
         table = sweep([((4,), 1, 512)], levels, seeds, optimizer=OptimizerConfig(),
-                      activation="relu", split=split)
+                      activation="relu", split=split, cache_dir=str(tmp_path / "trials"))
         assert len(table.trials) == len(rows) == len(levels) * len(seeds)
         assert sum(rows) == len(seeds) * sum(
             augment.level_size(split.train, technique, k) for technique, k in levels)
@@ -349,9 +391,10 @@ class TestSweep:
     def test_parallel_matches_serial(self, tmp_path):
         split = toy_split()
         serial = sweep(**self.AXES, optimizer=OptimizerConfig(),
-                       activation="relu", split=split)
+                       activation="relu", split=split, cache_dir=str(tmp_path / "serial"))
         parallel = sweep(**self.AXES, optimizer=OptimizerConfig(),
-                         activation="relu", split=split, jobs=2)
+                         activation="relu", split=split,
+                         cache_dir=str(tmp_path / "parallel"), jobs=2)
         assert [result_row(r) for r in serial.sorted_trials()] == \
             [result_row(r) for r in parallel.sorted_trials()]
 

@@ -265,8 +265,7 @@ class TestTraining:
 
     def test_empty_training_set_rejected(self):
         from nucaug.augment import ROW_DTYPE, AugmentedTrainingSet
-        empty = AugmentedTrainingSet(rows=np.empty(0, dtype=ROW_DTYPE), base_size=0,
-                                     technique="none")
+        empty = AugmentedTrainingSet(rows=np.empty(0, dtype=ROW_DTYPE), technique="none")
         with pytest.raises(ConfigurationError):
             train(NetworkSpec((4,)), empty,
                   TrainConfig(epochs=1, batch_size=4), OptimizerConfig())

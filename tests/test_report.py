@@ -56,7 +56,7 @@ class TestTables:
             report.table_error_augmentation(rows)
 
     def test_gaussian_table(self):
-        header, out = report.table_gaussian(result_rows())
+        header, out = report.table_gaussian(result_rows(), "rms_test_mev")
         assert header == ["arch"] + [f"rms_k{k}_mev" for k in range(6)]
         row = next(r for r in out if r[0] == "32-16-8")
         assert float(row[1]) == pytest.approx(2.8)   # none mean
@@ -71,32 +71,36 @@ class TestTables:
 
 class TestCurves:
     def test_rms_vs_resampling(self):
-        header, out = report.rms_vs_resampling(result_rows())
+        header, out = report.rms_vs_resampling(result_rows(), "rms_test_mev")
         assert header == ["arch", "resamples", "mean_rms_mev"]
         curve = [(r[1], float(r[2])) for r in out if r[0] == "32-32"]
         assert curve == [(0, 2.2), (2, 1.6), (5, 1.4)]
 
     def test_rms_vs_resampling_missing_arch(self):
+        # 64-16 is not one of the curve architectures
+        rows = [{**r, "arch": "64-16"} for r in result_rows() if r["arch"] == "32-32"]
         with pytest.raises(IncompleteDataError):
-            report.rms_vs_resampling(result_rows(), archs=["64-16"])
+            report.rms_vs_resampling(rows, "rms_test_mev")
 
     def test_per_seed_traces(self):
-        header, out = report.per_seed_traces(result_rows(), arch="32-16-8",
-                                             levels=["none"])
-        assert [(r[1], float(r[2])) for r in out] == [(0, 2.6), (1, 3.0)]
+        header, out = report.per_seed_traces(result_rows(), "rms_test_mev")
+        assert header == ["level", "seed", "rms_mev"]
+        assert [(r[0], r[1], float(r[2])) for r in out] == [
+            ("none", 0, 2.6), ("none", 1, 3.0), ("gaussian2", 0, 2.0),
+            ("gaussian5", 0, 1.7)]
 
     def test_per_seed_traces_missing_level(self):
-        with pytest.raises(IncompleteDataError):
-            report.per_seed_traces(result_rows(), arch="32-16-8",
-                                   levels=["gaussian4"])
+        rows = [r for r in result_rows() if r["k"] != "5"]
+        with pytest.raises(IncompleteDataError, match="32-16-8', 'gaussian5'"):
+            report.per_seed_traces(rows, "rms_test_mev")
 
 
 class TestComparisons:
     def test_optimizer_comparison(self):
         rows = result_rows()
-        for row in rows[:2]:
+        for row in rows[6:8]:  # 32-16-8, none
             row["optimizer"] = "nadam"
-        _, out = report.optimizer_comparison(rows, arch="32-32")
+        _, out = report.optimizer_comparison(rows)
         optimizers = {r[0] for r in out}
         assert "nadam" in optimizers
 
@@ -109,23 +113,23 @@ class TestComparisons:
         rows = result_rows()
         rows = [{**r, setting: "b"} for r in rows] + [
             {**r, setting: "a", "rms_test_mev": "1.0"} for r in rows]
-        header, out = builder(rows, arch="32-32")
+        header, out = builder(rows)
         assert header == [setting, "arch", "resamples", "mean_rms_mev"]
-        assert out == [["a", "32-32", 2, "1.000"], ["a", "32-32", 5, "1.000"],
-                       ["a", "32-32", 0, "1.000"], ["b", "32-32", 2, "1.600"],
-                       ["b", "32-32", 5, "1.400"], ["b", "32-32", 0, "2.200"]]
+        assert out == [["a", "32-16-8", 2, "1.000"], ["a", "32-16-8", 5, "1.000"],
+                       ["a", "32-16-8", 0, "1.000"], ["b", "32-16-8", 2, "2.000"],
+                       ["b", "32-16-8", 5, "1.700"], ["b", "32-16-8", 0, "2.800"]]
 
     def test_activation_comparison(self):
-        _, out = report.activation_comparison(result_rows(), arch="32-16-8")
+        _, out = report.activation_comparison(result_rows())
         assert all(r[0] == "relu" for r in out)
 
     def test_failed_rows_ignored(self):
         rows = result_rows()
-        rows.append({**rows[0], "seed": "9", "rms_test_mev": "",
+        rows.append({**rows[6], "seed": "9", "rms_test_mev": "",
                      "status": "failed: diverged"})
-        header, out = report.per_seed_traces(rows, arch="32-32",
-                                             levels=["none"])
-        assert len(out) == 2
+        header, out = report.per_seed_traces(rows, "rms_test_mev")
+        assert [r[:2] for r in out] == [["none", 0], ["none", 1], ["gaussian2", 0],
+                                        ["gaussian5", 0]]
 
 
 class TestSettingGuard:
