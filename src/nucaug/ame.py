@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+import re
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -60,9 +63,7 @@ class NuclideRecord(_NuclideFields):
         # namedtuple's own _make, which _replace calls, skips __new__
         return cls(*iterable)
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.z, self.a)
+    key = property(operator.itemgetter(0, 2), doc="(Z, A), read at C speed")
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,21 @@ class MassTableLayout:
     """Fixed-width column positions of one AME edition (0-based slices)."""
 
     header_lines: int
-    min_width: int
     col_n: tuple[int, int]
     col_z: tuple[int, int]
     col_a: tuple[int, int]
     col_bea: tuple[int, int]       # binding energy per nucleon, keV
     col_bea_err: tuple[int, int]   # its uncertainty, keV
+
+    @property
+    def columns(self) -> tuple[tuple[int, int], ...]:
+        """The five fields' slices, in the order of _FIELD_NAMES."""
+        return self.col_n, self.col_z, self.col_a, self.col_bea, self.col_bea_err
+
+    @property
+    def min_width(self) -> int:
+        """The width of a record line: where its last field ends."""
+        return max(end for _, end in self.columns)
 
 
 # Column positions follow the Fortran record formats printed in the headers
@@ -93,7 +103,6 @@ class MassTableLayout:
 LAYOUTS: dict[str, MassTableLayout] = {
     "AME2016": MassTableLayout(
         header_lines=39,
-        min_width=72,
         col_n=(4, 9),
         col_z=(9, 14),
         col_a=(14, 19),
@@ -102,7 +111,6 @@ LAYOUTS: dict[str, MassTableLayout] = {
     ),
     "AME2020": MassTableLayout(
         header_lines=36,
-        min_width=77,
         col_n=(4, 9),
         col_z=(9, 14),
         col_a=(14, 19),
@@ -113,66 +121,112 @@ LAYOUTS: dict[str, MassTableLayout] = {
 
 
 _FIELD_NAMES = ("N", "Z", "A", "BE/A", "BE/A uncertainty")
+# what str.strip() strips from a line of ASCII text; a record line may not
+# hold the five among them at which str.splitlines() would end it
+_WHITESPACE = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_LINE_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
+_LINE_BREAK = re.compile(b"[%s]" % _LINE_BREAKS)
+_HASH, _POINT = ord("#"), ord(".")
 
 
 def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
-    """Parse a complete AME ``mass`` file into nuclide records.
+    r"""Parse a complete AME ``mass`` file into nuclide records.
 
     The per-nucleon binding energy (keV) and its uncertainty are converted to
     total MeV: be_total = (BE/A) * A / 1000.
+
+    The file is read as ASCII text, one byte per column; any other byte, and
+    any non-ASCII character of a str, is an unreadable character. Only
+    ``\n``, ``\r\n`` and ``\r`` end a line, so an error names the physical
+    line: the first bad one, in file order. Whitespace-only lines are
+    skipped; a record line that holds one of the other line-break characters
+    (``\x0b``, ``\x0c``, ``\x1c``-``\x1e``) is rejected.
     """
     if edition not in LAYOUTS:
         raise ConfigurationError(
             f"unknown mass-table edition {edition!r}; known: {sorted(LAYOUTS)}")
     layout = LAYOUTS[edition]
-    if isinstance(content, bytes):
-        content = content.decode("ascii", errors="replace")
+    if isinstance(content, str):
+        content = content.encode("ascii", "replace")
+    if any(map(content.__contains__, _LINE_BREAKS)):  # memchr; a regex takes 5 ms
+        _raise_first_bad_line(content, layout)  # returns if only blank lines hold them
 
-    min_width = layout.min_width
-    n0, n1 = layout.col_n
-    z0, z1 = layout.col_z
-    a0, a1 = layout.col_a
-    b0, b1 = layout.col_bea
-    e0, e1 = layout.col_bea_err
-    isfinite = math.isfinite
-    records = []
-    append = records.append
+    table = _record_table(content, layout)
+    fields = [table[:, c0:c1] for c0, c1 in layout.columns]
+    bea, bea_err = fields[3:]
+    # "#" stands in for the decimal point of an estimate
+    bea_hash, err_hash = bea == _HASH, bea_err == _HASH
+    estimated = (bea_hash.any(1) | err_hash.any(1)).tolist()
+    bea[bea_hash] = bea_err[err_hash] = _POINT
+    try:
+        if any((field == 0).any() for field in fields):
+            raise ValueError("a short line, or a NUL in a field")
+        # one column's text at a time, so that the texts of all five never coexist
+        n, z, a = (list(map(int, _column_text(field))) for field in fields[:3])
+        mass = np.array(a, dtype=np.float64)
+        # float reads nan and inf, and a huge value overflows once scaled by A
+        with np.errstate(over="ignore", invalid="ignore"):
+            be_total, be_err = (np.fromiter(map(float, _column_text(field)), np.float64,
+                                            len(mass)) * mass / 1000.0
+                                for field in fields[3:])
+        if not (np.isfinite(be_total).all() and np.isfinite(be_err).all()):
+            raise ValueError("a non-finite energy")
+    except ValueError:
+        _raise_first_bad_line(content, layout)
+        raise AssertionError("the line scan accepts every line of a table that the "
+                             "column pass rejects") from None
+    # __new__ itself, with every check, but without type.__call__'s own cost
+    return list(map(NuclideRecord.__new__, repeat(NuclideRecord), z, n, a,
+                    be_total.tolist(), be_err.tolist(), estimated))
+
+
+def _record_table(content: bytes, layout: MassTableLayout) -> np.ndarray:
+    """The non-blank lines after the header as a byte matrix, each cut or
+    NUL-padded to the width of a record line. The fields end at that width,
+    so a shorter line ends in padding, which no field may hold."""
     lines = content.splitlines()[layout.header_lines:]
-    for line_no, line in enumerate(lines, start=layout.header_lines + 1):
-        if len(line) < min_width:
-            if not line.strip():
-                continue
-            raise MassTableParseError(line_no, f"line width {len(line)} < required {min_width}")
-        # int() and float() strip whitespace themselves; "#" stands in for the
-        # decimal point of an estimate. A line they reject, or whose energy is
-        # not finite (float reads nan and inf, and a huge value overflows once
-        # scaled by A), goes to bad_field, which names the line and field.
-        bea, bea_err = line[b0:b1], line[e0:e1]
+    record = map(len, map(bytes.strip, lines, repeat(_WHITESPACE)))
+    table = np.fromiter(compress(lines, record), f"S{layout.min_width}")
+    return table.view(np.uint8).reshape(len(table), layout.min_width)
+
+
+def _column_text(field: np.ndarray) -> list[bytes]:
+    """Each row of a byte-matrix column as bytes, without trailing NULs."""
+    return field.view(f"S{field.shape[1]}")[:, 0].tolist()
+
+
+def _raise_first_bad_line(content: bytes, layout: MassTableLayout) -> None:
+    """Raise the error of the first record line, in file order, that
+    parse_mass_table rejects; return if there is none."""
+    lines = content.splitlines()[layout.header_lines:]
+    for line_no, raw in enumerate(lines, start=layout.header_lines + 1):
+        line = raw.decode("ascii", errors="replace")
+        if not line.strip():
+            continue
+        if found := _LINE_BREAK.search(raw):
+            raise MassTableParseError(
+                line_no, f"line-break character {found[0].decode()!r} inside a record")
+        if len(line) < layout.min_width:
+            raise MassTableParseError(
+                line_no, f"line width {len(line)} < required {layout.min_width}")
+        fields = [line[c0:c1] for c0, c1 in layout.columns]
         try:
-            n = int(line[n0:n1])
-            z = int(line[z0:z1])
-            a = int(line[a0:a1])
-            be_total = float(bea.replace("#", ".")) * a / 1000.0
-            be_err = float(bea_err.replace("#", ".")) * a / 1000.0
-            if not (isfinite(be_total) and isfinite(be_err)):
+            a = int(fields[2])
+        except ValueError:
+            a = 0  # bad_field names A before it reads an energy
+
+        def energy(text):
+            return float(text.replace("#", ".")) * a / 1000.0
+
+        kinds = (int, int, int, energy, energy)
+        try:
+            n, z, a, be_total, be_err = [kind(text) for kind, text in zip(kinds, fields)]
+            if not (math.isfinite(be_total) and math.isfinite(be_err)):
                 raise ValueError
         except ValueError:
-            if not line.strip():
-                continue
-            try:
-                a = int(line[a0:a1])
-            except ValueError:
-                a = 0  # bad_field names A before it reads an energy
-
-            def energy(text):
-                return float(text.replace("#", ".")) * a / 1000.0
-
-            fields = [line[c0:c1].strip()
-                      for c0, c1 in ((n0, n1), (z0, z1), (a0, a1), (b0, b1), (e0, e1))]
-            raise bad_field(line_no, _FIELD_NAMES, (int, int, int, energy, energy),
-                            fields) from None
-        append(NuclideRecord(z, n, a, be_total, be_err, "#" in bea or "#" in bea_err))
-    return records
+            raise bad_field(line_no, _FIELD_NAMES, kinds,
+                            [field.strip() for field in fields]) from None
+        NuclideRecord(z, n, a, be_total, be_err, False)  # A != Z + N, a negative energy
 
 
 Z_N_MIN = 8  # the smallest Z and N of the study's nuclei
@@ -188,16 +242,17 @@ def filter_experimental(records: Iterable[NuclideRecord],
 def diff_new_nuclei(old: Iterable[NuclideRecord],
                     new: Iterable[NuclideRecord]) -> list[NuclideRecord]:
     """Records present in `new` but absent from `old`, keyed by (Z, A)."""
-    old, new = list(old), list(new)
-    for name, recs in (("old", old), ("new", new)):
-        keys = [r.key for r in recs]
+    new = list(new)
+    key = NuclideRecord.key.fget
+    old_keys, new_keys = list(map(key, old)), list(map(key, new))
+    for name, keys in (("old", old_keys), ("new", new_keys)):
         if len(keys) != len(set(keys)):
             seen, dups = set(), set()
             for k in keys:
                 (dups if k in seen else seen).add(k)
             raise DataIntegrityError(f"duplicate (Z, A) in {name} input: {sorted(dups)}")
-    old_keys = {r.key for r in old}
-    return [r for r in new if r.key not in old_keys]
+    known = set(old_keys)
+    return [r for r, k in zip(new, new_keys) if k not in known]
 
 
 def split_dataset(records: list[NuclideRecord], ratio: float, seed: int) -> DatasetSplit:

@@ -236,6 +236,92 @@ class TestParsing:
             ame.parse_mass_table("\n".join(short), edition)
         assert exc.value.line_no == len(short)
 
+    @pytest.mark.parametrize("edition", sorted(ame.LAYOUTS))
+    def test_page_break_line_keeps_line_numbers(self, mass16_text, mass20_text, edition):
+        # str.splitlines() also ends a line at a form feed, which shifted the
+        # numbers of every later line; a whitespace-only line holding one is
+        # still skipped
+        layout = ame.LAYOUTS[edition]
+        text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
+        lines = text.splitlines()[:layout.header_lines + 11]
+        lines[layout.header_lines + 8] = b"\x0c"
+        start, end = layout.col_bea
+        bad = layout.header_lines + 10
+        lines[bad] = lines[bad][:start] + b"xx.yyyyy".rjust(end - start) + lines[bad][end:]
+        with pytest.raises(MassTableParseError) as exc:
+            ame.parse_mass_table(b"\n".join(lines), edition)
+        assert str(exc.value) == f"line {bad + 1}: non-numeric BE/A field 'xx.yyyyy'"
+        assert len(ame.parse_mass_table(b"\n".join(lines[:bad]), edition)) == 9
+
+    @pytest.mark.parametrize("edition", sorted(ame.LAYOUTS))
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    @pytest.mark.parametrize("at", [0, 30, -1])
+    def test_line_break_character_in_record_rejected(self, mass16_text, mass20_text,
+                                                     edition, char, at):
+        # str.splitlines() split such a line in two; at its start, the
+        # record was silently accepted
+        layout = ame.LAYOUTS[edition]
+        text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
+        lines = text.decode("ascii").splitlines()[:layout.header_lines + 5]
+        row = layout.header_lines + 3
+        at = at % (len(lines[row]) + 1)
+        lines[row] = lines[row][:at] + char + lines[row][at:]
+        for content in ("\n".join(lines), "\n".join(lines).encode("ascii")):
+            with pytest.raises(MassTableParseError) as exc:
+                ame.parse_mass_table(content, edition)
+            assert str(exc.value) == (f"line {row + 1}: line-break character {char!r}"
+                                      " inside a record")
+
+    def test_str_is_read_as_ascii(self, mass16_text):
+        # a str is read one character per column, as bytes are: a character
+        # outside ASCII is unreadable, so a non-ASCII digit is no digit and
+        # a non-ASCII line separator ends no line
+        layout = ame.LAYOUTS["AME2016"]
+        lines = mass16_text.decode("ascii").splitlines()[:layout.header_lines + 3]
+        row = layout.header_lines + 1
+        n1, el = layout.col_n[1], 20  # el: a column of the element symbol
+        digit = lines[:row] + [lines[row][:n1 - 1] + "\u0663" + lines[row][n1:]]
+        with pytest.raises(MassTableParseError) as exc:
+            ame.parse_mass_table("\n".join(digit), "AME2016")
+        assert exc.value.line_no == row + 1 and "non-numeric N field" in str(exc.value)
+        separated = lines[:row] + [lines[row][:el] + "\u2028" + lines[row][el + 1:]]
+        records = ame.parse_mass_table("\n".join(separated), "AME2016")
+        assert records == ame.parse_mass_table("\n".join(lines[:row + 1]), "AME2016")
+
+    @pytest.mark.parametrize("edition", sorted(ame.LAYOUTS))
+    @pytest.mark.parametrize("field", ["col_n", "col_bea", "col_bea_err"])
+    def test_unit_separator_for_a_pad_space_is_rejected(self, mass16_text, mass20_text,
+                                                        tmp_path, edition, field):
+        # str.strip() takes \x1f for whitespace, but int() and float() take
+        # it for a character on str and on bytes alike: the line is bad, and
+        # `ingest` says so on one line
+        layout = ame.LAYOUTS[edition]
+        text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
+        lines = text.splitlines()[:layout.header_lines + 5]
+        row = layout.header_lines + 2
+        start, end = getattr(layout, field)
+        pad = start + len(lines[row][start:end]) - len(lines[row][start:end].lstrip())
+        assert pad > start
+        lines[row] = lines[row][:pad - 1] + b"\x1f" + lines[row][pad:]
+        content = b"\n".join(lines)
+        for source in (content, content.decode("ascii")):
+            with pytest.raises(MassTableParseError) as exc:
+                ame.parse_mass_table(source, edition)
+            assert exc.value.line_no == row + 1
+        path = tmp_path / "mass.txt"
+        path.write_bytes(content)
+        code, stderr = cli_error(["ingest", str(path), "--edition", edition])
+        assert code == cli.EXIT_DATA
+        assert stderr.startswith(f"data error: line {row + 1}: ") and stderr.count("\n") == 1
+
+    def test_a_rejected_table_never_parses_past_the_scan(self, mass16_text, monkeypatch):
+        # the scan that names the bad line is the only way out of a failed
+        # column pass: were it to find no bad line, the parse fails loudly
+        bad, _ = self.spliced(mass16_text, "AME2016", {"col_bea": "x"})
+        monkeypatch.setattr(ame, "_raise_first_bad_line", lambda content, layout: None)
+        with pytest.raises(AssertionError, match="column pass rejects"):
+            ame.parse_mass_table(bad, "AME2016")
+
     def test_bytes_and_str_inputs_agree(self, mass16_text, records16):
         assert ame.parse_mass_table(mass16_text.decode("ascii"),
                                     "AME2016") == records16
