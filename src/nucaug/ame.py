@@ -16,6 +16,7 @@ import csv
 import math
 import operator
 import re
+import string
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Iterable, NamedTuple
@@ -224,8 +225,9 @@ def _raise_first_bad_line(content: bytes, layout: MassTableLayout) -> None:
             if not (math.isfinite(be_total) and math.isfinite(be_err)):
                 raise ValueError
         except ValueError:
+            # strip only what int() and float() skip, so that a \x1f is named
             raise bad_field(line_no, _FIELD_NAMES, kinds,
-                            [field.strip() for field in fields]) from None
+                            [field.strip(string.whitespace) for field in fields]) from None
         NuclideRecord(z, n, a, be_total, be_err, False)  # A != Z + N, a negative energy
 
 

@@ -111,37 +111,69 @@ class TrialSpec:
         return hashlib.sha256(parts.encode()).hexdigest()[:32]
 
 
+# each metric of a trial: its TrialResult field and its results column
+_METRICS = {"rms_test": "rms_test_mev", "rms_extrapolation": "rms_extrap_mev",
+            "final_train_loss": "final_train_loss"}
+
+
+def _check_outcome(status, metrics: dict, wall_time=0.0) -> None:
+    """The one rule of a trial's outcome, in memory, in its cache file and in
+    results.csv: a status of "ok" or "failed: <reason>"; in an ok trial,
+    rms_test and final_train_loss are numbers >= 0 (nan and inf read) and
+    rms_extrapolation is None (no extrapolation set) or such a number; a
+    failed trial has all three None; wall_time is a number. `metrics` maps
+    each metric's results column to its value; a message names the column
+    and quotes a number as a sweep writes it."""
+    if status == "ok":
+        for field, column in _METRICS.items():
+            value = metrics[column]
+            if type(value) in (int, float):  # no bool
+                if value < 0:
+                    raise ConfigurationError(
+                        f"{column} field '{value!r}': a metric must not be negative")
+            elif value is None:
+                if field != "rms_extrapolation":
+                    raise ConfigurationError(f"an ok trial needs a {column}")
+            else:
+                raise ConfigurationError(f"{column} field {value!r}: expected a number")
+    elif type(status) is str and status.startswith("failed: "):
+        for column in _METRICS.values():
+            if metrics[column] is not None:
+                raise ConfigurationError(
+                    f"a failed trial has no {column}, got '{metrics[column]!r}'")
+    else:
+        raise ConfigurationError(f"status field {status!r}: expected ok or failed: <reason>")
+    if type(wall_time) not in (int, float):
+        raise ConfigurationError(f"wall_time {wall_time!r}: expected a number")
+
+
 @dataclass(frozen=True)
 class TrialResult:
     spec: TrialSpec
-    rms_test: float
+    rms_test: float | None    # None for a failed trial
     rms_extrapolation: float | None
-    final_train_loss: float
+    final_train_loss: float | None
     status: str               # "ok" or "failed: <reason>"
     wall_time: float = 0.0
+
+    def __post_init__(self):
+        _check_outcome(self.status, {column: getattr(self, field)
+                                     for field, column in _METRICS.items()}, self.wall_time)
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
 
-def _is_status(status) -> bool:
-    """True for a status that run_trial writes: "ok" or "failed: <reason>"."""
-    return type(status) is str and (status == "ok" or status.startswith("failed: "))
-
-
 RESULTS_COLUMNS = ["arch", "augmentation", "k", "optimizer", "activation", "seed",
-                   "rms_test_mev", "rms_extrap_mev", "final_train_loss",
-                   "epochs", "batch", "status"]
+                   *_METRICS.values(), "epochs", "batch", "status"]
 
 
 def result_row(res: TrialResult) -> list:
     s = res.spec
+    metrics = (getattr(res, field) for field in _METRICS)
     return [s.arch_label, s.technique, s.k, s.optimizer.algorithm, s.activation,
-            s.seed,
-            repr(res.rms_test) if res.ok else "",
-            "" if res.rms_extrapolation is None or not res.ok else repr(res.rms_extrapolation),
-            repr(res.final_train_loss) if res.ok else "",
+            s.seed, *("" if v is None else repr(v) for v in metrics),
             s.epochs, s.batch_size, res.status]
 
 
@@ -165,8 +197,8 @@ def run_trial(spec: TrialSpec, split: DatasetSplit,
     try:
         model = train(spec.network, aug_set, spec.train_config, spec.optimizer)
     except TrainingDivergedError as exc:
-        return TrialResult(spec=spec, rms_test=math.nan, rms_extrapolation=None,
-                           final_train_loss=math.nan, status=f"failed: {exc}",
+        return TrialResult(spec=spec, rms_test=None, rms_extrapolation=None,
+                           final_train_loss=None, status=f"failed: {exc}",
                            wall_time=time.perf_counter() - start)
 
     rms_ext = score(model, extrapolation)[1] if extrapolation else None
@@ -185,25 +217,16 @@ class ResultTable:
     def add(self, result: TrialResult) -> None:
         self.trials.append(result)
 
-    @staticmethod
-    def _sort_key(res: TrialResult):
-        s = res.spec
-        return (s.arch_label, s.technique, s.k, s.optimizer.algorithm,
-                s.activation, s.seed)
-
     def sorted_trials(self) -> list[TrialResult]:
-        return sorted(self.trials, key=self._sort_key)
+        # by the fields that name a trial's row: arch to seed
+        return sorted(self.trials, key=lambda res: result_row(res)[:6])
 
     def write_csv(self, path) -> None:
         write_csv(path, RESULTS_COLUMNS, map(result_row, self.sorted_trials()))
 
 
-def _number_or_empty(text: str) -> str:
-    """A metric: empty for a failed trial, else a number >= 0, nan or inf
-    (returned as text, so bad_field does not reject those)."""
-    if text and float(text) < 0:
-        raise ConfigurationError("a metric must not be negative")
-    return text
+def _metric(text: str) -> float | None:
+    return float(text) if text else None
 
 
 def _at_least(low: int):
@@ -223,29 +246,9 @@ def _one_of(names: tuple[str, ...]):
     return name
 
 
-def _status(text: str) -> str:
-    if not _is_status(text):
-        raise ConfigurationError("expected ok or failed: <reason>")
-    return text
-
-
 # what each results column must read as
 _RESULTS_TYPES = (parse_arch, str, int, _one_of(ALGORITHMS), _one_of(ACTIVATIONS),
-                  _at_least(0), _number_or_empty, _number_or_empty, _number_or_empty,
-                  _at_least(1), _at_least(1), _status)
-
-
-def _check_metrics(row: list[str]) -> None:
-    """An ok trial has rms_test_mev and final_train_loss (rms_extrap_mev is
-    empty for a sweep without an extrapolation set); a failed one has no metric."""
-    if row[11] == "ok":
-        for name, text in (("rms_test_mev", row[6]), ("final_train_loss", row[8])):
-            if not text:
-                raise ConfigurationError(f"an ok trial needs a {name}")
-    else:
-        for name, text in zip(RESULTS_COLUMNS[6:9], row[6:9]):
-            if text:
-                raise ConfigurationError(f"a failed trial has no {name}, got {text!r}")
+                  _at_least(0), _metric, _metric, _metric, _at_least(1), _at_least(1), str)
 
 
 def read_results_csv(path) -> list[dict]:
@@ -253,21 +256,21 @@ def read_results_csv(path) -> list[dict]:
     file. A wrong header, a short or long row, an arch that is not hyphenated
     integers >= 1, a k that is not an integer, a seed that is not an integer
     >= 0, epochs or batch that are not integers >= 1, an optimizer or
-    activation that the package does not have, an augmentation and k that are
-    no level (augment.check_level), a metric that is neither empty nor a
-    number >= 0, a status that is not ok or failed: <reason>, or metrics that
-    do not match the status (_check_metrics) raises MassTableParseError
-    naming the line."""
+    activation that the package does not have, a metric that is neither
+    empty nor a number, an augmentation and k that are no level
+    (augment.check_level), or an outcome that breaks the trial outcome rule
+    (_check_outcome) raises MassTableParseError naming the line."""
     rows = []
     for line_no, row in csv_rows(path, RESULTS_COLUMNS):
+        values = {}
+        for name, kind, text in zip(RESULTS_COLUMNS, _RESULTS_TYPES, row):
+            try:
+                values[name] = kind(text)
+            except ValueError:  # bad_field on this field alone: a metric before it may be inf
+                raise bad_field(line_no, [name], [kind], [text]) from None
         try:
-            for kind, text in zip(_RESULTS_TYPES, row):
-                kind(text)
-        except ValueError:
-            raise bad_field(line_no, RESULTS_COLUMNS, _RESULTS_TYPES, row) from None
-        try:
-            augment.check_level(row[1], int(row[2]), 0)  # the CSV records no noise seed
-            _check_metrics(row)
+            augment.check_level(values["augmentation"], values["k"], 0)  # no noise seed
+            _check_outcome(values["status"], values)
         except ConfigurationError as exc:
             raise MassTableParseError(line_no, str(exc)) from None
         rows.append(dict(zip(RESULTS_COLUMNS, row)))
@@ -293,29 +296,20 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 # the TrialResult fields a trial's cache file holds; wall_time may be absent
-_CACHED_FIELDS = ("rms_test", "rms_extrapolation", "final_train_loss", "status",
-                  "wall_time")
+_CACHED_FIELDS = (*_METRICS, "status", "wall_time")
 
 
 def _cached_result(spec: TrialSpec, cache_dir: str, data_tag: str) -> TrialResult | None:
-    """The stored result, or None unless the file holds what _store_result
-    writes: a status that run_trial writes, numbers for the metrics and
-    wall_time (rms_extrapolation may be null), and no negative metric in an
-    ok result. A file without wall_time, from before it was stored, reads 0.0."""
+    """The stored result, or None unless the file holds a TrialResult as
+    _store_result writes it. A file without wall_time, from before it was
+    stored, reads 0.0."""
     path = os.path.join(cache_dir, spec.cache_key(data_tag) + ".json")
     try:
         with open(path) as fh:
             payload = {"wall_time": 0.0, **json.load(fh)}
-        res = TrialResult(spec=spec, **{name: payload[name] for name in _CACHED_FIELDS})
+        return TrialResult(spec=spec, **{name: payload[name] for name in _CACHED_FIELDS})
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
-    metrics = [res.rms_test, res.final_train_loss]
-    if res.rms_extrapolation is not None:
-        metrics.append(res.rms_extrapolation)
-    numbers = all(type(v) in (int, float) for v in [*metrics, res.wall_time])  # no bool
-    if _is_status(res.status) and numbers and not (res.ok and any(v < 0 for v in metrics)):
-        return res
-    return None
 
 
 def _store_result(res: TrialResult, cache_dir: str, data_tag: str) -> None:

@@ -294,8 +294,9 @@ class TestParsing:
                                                         tmp_path, edition, field):
         # str.strip() takes \x1f for whitespace, but int() and float() take
         # it for a character on str and on bytes alike: the line is bad, and
-        # `ingest` says so on one line
+        # the message, on one line from `ingest`, names the field
         layout = ame.LAYOUTS[edition]
+        name = {"col_n": "N", "col_bea": "BE/A", "col_bea_err": "BE/A uncertainty"}[field]
         text = {"AME2016": mass16_text, "AME2020": mass20_text}[edition]
         lines = text.splitlines()[:layout.header_lines + 5]
         row = layout.header_lines + 2
@@ -308,11 +309,13 @@ class TestParsing:
             with pytest.raises(MassTableParseError) as exc:
                 ame.parse_mass_table(source, edition)
             assert exc.value.line_no == row + 1
+            assert f": non-numeric {name} field '" in str(exc.value)
         path = tmp_path / "mass.txt"
         path.write_bytes(content)
         code, stderr = cli_error(["ingest", str(path), "--edition", edition])
         assert code == cli.EXIT_DATA
-        assert stderr.startswith(f"data error: line {row + 1}: ") and stderr.count("\n") == 1
+        assert stderr.startswith(f"data error: line {row + 1}: non-numeric {name} field '")
+        assert "\\x1f" in stderr and stderr.count("\n") == 1
 
     def test_a_rejected_table_never_parses_past_the_scan(self, mass16_text, monkeypatch):
         # the scan that names the bad line is the only way out of a failed

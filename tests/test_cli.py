@@ -411,6 +411,41 @@ class TestSweep:
         assert rewritten == {k: v for k, v in json.loads(text).items()
                              if k != "wall_time"}
 
+    def test_diverged_trials_exit_3_and_resume_from_cache(self, tmp_path):
+        # every trial diverges: the run exits 3 with empty metrics in
+        # results.csv and null ones in strict-JSON cache files, and a resume
+        # reads both trials from the cache, exits 3 and writes the same rows
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20)
+                          .replace("architectures = 6-4:25:64", "architectures = 4:3:512")
+                          .replace("levels = none gaussian1", "levels = none")
+                          .replace("seeds = 0 1", "seeds = 0..1")
+                          + "learning_rate = 1e80\n")
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+        first = run_process(argv)
+        assert first.returncode == cli.EXIT_TRIAL_FAILURES, first.stderr
+        assert "completed 2 trials, 2 failed" in first.stdout
+        results = (tmp_path / "out" / "results.csv").read_text()
+        rows = experiment.read_results_csv(tmp_path / "out" / "results.csv")
+        assert [row["seed"] for row in rows] == ["0", "1"]
+        for row in rows:
+            assert row["status"].startswith("failed: ")
+            assert row["rms_test_mev"] == row["rms_extrap_mev"] == row["final_train_loss"] == ""
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        files = sorted((tmp_path / "out" / "trials").glob("*.json"))
+        assert len(files) == 2
+        for path in files:
+            payload = json.loads(path.read_text(), parse_constant=no_constant)
+            assert payload["rms_test"] is payload["final_train_loss"] is None
+
+        again = run_process(argv)
+        assert again.returncode == cli.EXIT_TRIAL_FAILURES, again.stderr
+        assert again.stdout.count("(cached)") == 2
+        assert (tmp_path / "out" / "results.csv").read_text() == results
+
     def test_bad_trial_spec_fails_before_training(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
         text = SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20)
@@ -694,6 +729,8 @@ class TestStrictResultsCsv:
          "line 2: non-numeric rms_test_mev field '2.0 MeV'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',3500,', ',3.5e3,')}\n",
          "line 2: non-numeric epochs field '3.5e3'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',inf,').replace(',3500,', ',x,')}\n",
+         "line 2: non-numeric epochs field 'x'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '32-16-')}\n",
          "line 2: non-numeric arch field '32-16-'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',none,', ',mixup,')}\n",
@@ -701,7 +738,7 @@ class TestStrictResultsCsv:
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '32-0-8')}\n",
          "line 2: arch field '32-0-8': hidden widths must be >= 1"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',-1,')}\n",
-         "line 2: rms_test_mev field '-1': a metric must not be negative"),
+         "line 2: rms_test_mev field '-1.0': a metric must not be negative"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',0.1,', ',-inf,')}\n",
          "line 2: final_train_loss field '-inf': a metric must not be negative"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',none,0,', ',none,3,')}\n",
@@ -732,7 +769,8 @@ class TestStrictResultsCsv:
          "line 2: a failed trial has no rms_test_mev, got '2.0'"),
         (f"{RESULTS_HEADER}\n32-16-8,none,0,adam,relu,0,,,0.1,3500,64,failed: x\n",
          "line 2: a failed trial has no final_train_loss, got '0.1'"),
-    ], ids=["canonical", "empty", "short", "long", "k", "seed", "rms", "epochs", "arch",
+    ], ids=["canonical", "empty", "short", "long", "k", "seed", "rms", "epochs",
+            "inf_rms_then_epochs", "arch",
             "augmentation", "arch_width_0", "negative_rms", "negative_loss", "none_k3",
             "error_k_negative", "gaussian_k0", "negative_seed", "epochs_0", "negative_batch",
             "optimizer", "activation", "status", "status_no_space", "ok_no_metrics",

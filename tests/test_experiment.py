@@ -218,7 +218,7 @@ class TestRunTrial:
             res = run_trial(toy_spec(optimizer=hot, epochs=60), toy_split())
         assert not res.ok
         assert res.status.startswith("failed:")
-        assert math.isnan(res.rms_test)
+        assert res.rms_test is None and res.final_train_loss is None
 
 
 class TestResultTable:
@@ -293,10 +293,13 @@ class TestTrialCache:
         {"rms_extrapolation": False}, {"wall_time": None}, {"wall_time": "3.0"},
         {"status": "banana"}, {"status": "failed:x"}, {"status": None}, {"status": ["ok"]},
         {"rms_test": -1.5}, {"final_train_loss": -0.25}, {"rms_extrapolation": -2.0},
+        # a failed trial as the sweep stored it before its metrics were null
+        {"rms_test": math.nan, "final_train_loss": math.nan,
+         "status": "failed: non-finite training loss at epoch 2"},
     ], ids=["rms_text", "rms_null", "rms_bool", "loss_text", "extrap_text", "extrap_bool",
             "wall_time_null", "wall_time_text", "status_banana", "status_no_space",
             "status_null", "status_list", "negative_rms", "negative_loss",
-            "negative_extrap"])
+            "negative_extrap", "failed_nan"])
     def test_file_the_sweep_does_not_write_is_retrained(self, tmp_path, change):
         split = toy_split()
         cache = str(tmp_path / "trials")
@@ -323,11 +326,11 @@ class TestTrialCache:
         assert experiment._cached_result(toy_spec(seed=1), cache, dataset_tag(split)) is not None
 
     def test_failed_result_round_trips(self, tmp_path):
-        failed = dataclasses.replace(self.RESULT, rms_test=math.nan, final_train_loss=math.nan,
+        failed = dataclasses.replace(self.RESULT, rms_test=None, final_train_loss=None,
                                      status="failed: non-finite training loss at epoch 2")
         experiment._store_result(failed, str(tmp_path), "tag")
         cached = experiment._cached_result(failed.spec, str(tmp_path), "tag")
-        assert cached.status == failed.status and math.isnan(cached.rms_test)
+        assert cached.status == failed.status and cached.rms_test is None
 
 
 class TestSweep:
