@@ -154,7 +154,8 @@ def cmd_evaluate(args) -> int:
 _REQUIRED = object()
 
 # section -> key -> (converter, default) of every key a sweep config may set;
-# anything else is rejected, and a key whose default is _REQUIRED must be set
+# anything else is rejected, and a key whose default is _REQUIRED must be set.
+# The [sweep] keys are named as the parameters of experiment.sweep.
 SWEEP_CONFIG_KEYS = {
     "data": {"ame2016": (str, _REQUIRED), "ame2020": (str, None),
              "z_min": (int, ame.Z_N_MIN), "n_min": (int, ame.Z_N_MIN)},
@@ -196,13 +197,12 @@ def _load_sweep_config(path):
 
     config = {section: {key: get(section, key, *spec) for key, spec in keys.items()}
               for section, keys in SWEEP_CONFIG_KEYS.items()}
-    for level in config["sweep"]["levels"]:
-        try:
-            augment.check_level(*level, config["sweep"]["noise_seed"])
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"bad config [sweep]: {exc}") from None
-    return (config["data"], config["split"], config["sweep"],
-            OptimizerConfig(**config["optimizer"]))
+    opt = OptimizerConfig(**config["optimizer"])
+    try:  # every trial's settings, before a mass table is read or an output written
+        experiment.build_trial_specs(optimizer=opt, **config["sweep"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"bad config [sweep]: {exc}") from None
+    return config["data"], config["split"], config["sweep"], opt
 
 
 def cmd_sweep(args) -> int:
@@ -231,20 +231,14 @@ def cmd_sweep(args) -> int:
         print(f"[{done[0]}/{total}] {res.spec.arch_label} {res.spec.level_label} "
               f"seed={res.spec.seed} {res.status} ({tag})", flush=True)
 
-    table = experiment.sweep(
-        sweep_cfg["architectures"], sweep_cfg["levels"], sweep_cfg["seeds"],
-        opt, sweep_cfg["activation"], split, extrapolation,
-        noise_seed=sweep_cfg["noise_seed"],
-        cache_dir=os.path.join(args.out, "trials"),
-        jobs=_usable_cpus(), progress=progress)
+    table = experiment.sweep(optimizer=opt, split=split, extrapolation=extrapolation,
+                             cache_dir=os.path.join(args.out, "trials"), jobs=_usable_cpus(),
+                             progress=progress, **sweep_cfg)
 
     table.write_csv(os.path.join(args.out, "results.csv"))
-    experiment.write_manifest(
-        os.path.join(args.out, "manifest.json"), split=split,
-        extrapolation=extrapolation, seeds=sweep_cfg["seeds"],
-        levels=sweep_cfg["levels"], architectures=sweep_cfg["architectures"],
-        optimizer=opt, activation=sweep_cfg["activation"],
-        noise_seed=sweep_cfg["noise_seed"], ame_checksums=checksums)
+    experiment.write_manifest(os.path.join(args.out, "manifest.json"), split=split,
+                              extrapolation=extrapolation, optimizer=opt,
+                              ame_checksums=checksums, **sweep_cfg)
     _export_figures(os.path.join(args.out, "results.csv"), args.out)
 
     n_failed = sum(1 for t in table.trials if not t.ok)

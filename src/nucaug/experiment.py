@@ -24,9 +24,9 @@ import numpy as np
 from . import augment
 from .ame import DatasetSplit, NuclideRecord, bad_field, csv_rows, write_csv
 from .errors import ConfigurationError, MassTableParseError, TrainingDivergedError
-from .network import (ACTIVATIONS, NetworkSpec, TrainConfig, TrainedModel, arch_label,
-                      loss_mse, parse_arch, train)
-from .optimizers import ALGORITHMS, OptimizerConfig
+from .network import (NetworkSpec, TrainConfig, TrainedModel, arch_label, check_network,
+                      check_training, loss_mse, parse_arch, train)
+from .optimizers import OptimizerConfig, check_algorithm
 
 # (hidden widths, epochs, batch size) used throughout the baseline study
 ARCH_SETTINGS: list[tuple[tuple[int, ...], int, int]] = [
@@ -229,37 +229,18 @@ def _metric(text: str) -> float | None:
     return float(text) if text else None
 
 
-def _at_least(low: int):
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ConfigurationError(f"must be an integer >= {low}")
-        return value
-    return integer
-
-
-def _one_of(names: tuple[str, ...]):
-    def name(text: str) -> str:
-        if text not in names:
-            raise ConfigurationError(f"expected one of {', '.join(names)}")
-        return text
-    return name
-
-
 # what each results column must read as
-_RESULTS_TYPES = (parse_arch, str, int, _one_of(ALGORITHMS), _one_of(ACTIVATIONS),
-                  _at_least(0), _metric, _metric, _metric, _at_least(1), _at_least(1), str)
+_RESULTS_TYPES = (parse_arch, str, int, str, str, int, _metric, _metric, _metric, int, int, str)
 
 
 def read_results_csv(path) -> list[dict]:
     """Result rows, as dicts of their CSV text, from a ResultTable.write_csv
     file. A wrong header, a short or long row, an arch that is not hyphenated
-    integers >= 1, a k that is not an integer, a seed that is not an integer
-    >= 0, epochs or batch that are not integers >= 1, an optimizer or
-    activation that the package does not have, a metric that is neither
-    empty nor a number, an augmentation and k that are no level
-    (augment.check_level), or an outcome that breaks the trial outcome rule
-    (_check_outcome) raises MassTableParseError naming the line."""
+    integers, a k, seed, epochs or batch that is not an integer, a metric that
+    is neither empty nor a number, or a row that breaks the rules of its
+    settings (check_network, check_algorithm, check_training and
+    augment.check_level, in that order) or of its outcome (_check_outcome)
+    raises MassTableParseError naming the line."""
     rows = []
     for line_no, row in csv_rows(path, RESULTS_COLUMNS):
         values = {}
@@ -269,6 +250,9 @@ def read_results_csv(path) -> list[dict]:
             except ValueError:  # bad_field on this field alone: a metric before it may be inf
                 raise bad_field(line_no, [name], [kind], [text]) from None
         try:
+            check_network(values["arch"], values["activation"])
+            check_algorithm(values["optimizer"])
+            check_training(values["epochs"], values["batch"], values["seed"])
             augment.check_level(values["augmentation"], values["k"], 0)  # no noise seed
             _check_outcome(values["status"], values)
         except ConfigurationError as exc:
@@ -307,15 +291,22 @@ def _cached_result(spec: TrialSpec, cache_dir: str, data_tag: str) -> TrialResul
     try:
         with open(path) as fh:
             payload = {"wall_time": 0.0, **json.load(fh)}
-        return TrialResult(spec=spec, **{name: payload[name] for name in _CACHED_FIELDS})
+        fields = {name: payload[name] for name in _CACHED_FIELDS}
+        for name in _METRICS:  # strict JSON has no inf or nan; _store_result writes text
+            if fields[name] in ("inf", "nan"):
+                fields[name] = float(fields[name])
+        return TrialResult(spec=spec, **fields)
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
 
 
 def _store_result(res: TrialResult, cache_dir: str, data_tag: str) -> None:
     payload = {name: getattr(res, name) for name in _CACHED_FIELDS}
+    for name in _METRICS:
+        if payload[name] is not None and not math.isfinite(payload[name]):
+            payload[name] = repr(payload[name])  # a metric is never -inf
     path = os.path.join(cache_dir, res.spec.cache_key(data_tag) + ".json")
-    _atomic_write(path, json.dumps(payload, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def build_trial_specs(architectures, levels, seeds, optimizer: OptimizerConfig,
@@ -395,8 +386,7 @@ def sweep(architectures, levels, seeds, optimizer: OptimizerConfig,
 
 def write_manifest(path, *, split: DatasetSplit, extrapolation, seeds, levels,
                    architectures, optimizer: OptimizerConfig, activation: str,
-                   noise_seed: int, input_standardize: bool = True,
-                   target_standardize: bool = True,  # recorded; train always z-scores
+                   noise_seed: int, input_standardize: bool = True,  # kept for perfbench
                    ame_checksums: dict | None = None) -> None:
     """Everything needed to re-run any trial of the sweep bit-exactly."""
     from . import __version__
@@ -412,7 +402,7 @@ def write_manifest(path, *, split: DatasetSplit, extrapolation, seeds, levels,
         "trial_seeds": list(seeds),
         "noise_seed": noise_seed,
         "input_standardize": input_standardize,
-        "target_standardize": target_standardize,
+        "target_standardize": True,  # train always z-scores both; these only record it
         "activation": activation,
         "optimizer": asdict(optimizer),
         "levels": [list(level) for level in levels],

@@ -36,11 +36,18 @@ def arch_label(widths) -> str:
 
 
 def parse_arch(text: str) -> tuple[int, ...]:
-    """The hidden widths an arch label names; ValueError unless each is an integer >= 1."""
-    widths = tuple(int(w) for w in text.split("-"))
-    if min(widths) < 1:
-        raise ConfigurationError("hidden widths must be >= 1")
-    return widths
+    """The hidden widths an arch label names; ValueError unless it is hyphenated integers."""
+    return tuple(int(w) for w in text.split("-"))
+
+
+def check_network(hidden_widths: tuple[int, ...], activation: str) -> None:
+    """Raise ConfigurationError unless there is a hidden width and each is >= 1,
+    and the activation is one of ACTIVATIONS."""
+    if not hidden_widths or min(hidden_widths) < 1:
+        raise ConfigurationError(f"hidden widths must be >= 1, got {hidden_widths}")
+    if activation not in ACTIVATIONS:
+        raise ConfigurationError(
+            f"activation must be one of {', '.join(ACTIVATIONS)}, got {activation!r}")
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
-            raise ConfigurationError(f"hidden widths must be >= 1, got {self.hidden_widths}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
+        check_network(self.hidden_widths, self.activation)
 
     def layer_dims(self) -> list[tuple[int, int]]:
         widths = (2, *self.hidden_widths, 1)  # (Z, A) -> one energy
@@ -186,6 +190,14 @@ def _forward_backward(params: NetworkParams, grad: NetworkParams,
     return loss
 
 
+def check_training(epochs: int, batch_size: int, *seeds: int) -> None:
+    """Raise ConfigurationError unless epochs and batch_size are >= 1 and each seed >= 0."""
+    for name, value, low in (("epochs", epochs, 1), ("batch_size", batch_size, 1),
+                             *(("seed", seed, 0) for seed in seeds)):
+        if value < low:
+            raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
@@ -194,10 +206,7 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
-        if min(self.init_seed, self.shuffle_seed) < 0:
-            raise ConfigurationError("seeds must be >= 0")
+        check_training(self.epochs, self.batch_size, self.init_seed, self.shuffle_seed)
 
 
 @dataclass

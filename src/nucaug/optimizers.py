@@ -26,6 +26,13 @@ from .errors import ConfigurationError
 ALGORITHMS = ("adam", "nadam", "adamax", "rmsprop")
 
 
+def check_algorithm(algorithm: str) -> None:
+    """Raise ConfigurationError unless the algorithm is one of ALGORITHMS."""
+    if algorithm not in ALGORITHMS:
+        raise ConfigurationError(
+            f"optimizer must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str = "adam"
@@ -36,8 +43,7 @@ class OptimizerConfig:
     rmsprop_decay: float = 0.9
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown optimizer {self.algorithm!r}")
+        check_algorithm(self.algorithm)
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be > 0")
         for name in ("beta1", "beta2", "rmsprop_decay"):

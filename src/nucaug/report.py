@@ -53,20 +53,14 @@ def _cell(row: dict) -> tuple[str, str, int]:
     return row["arch"], row["augmentation"], int(row["k"])
 
 
-def _metric(row: dict, column: str) -> float | None:
-    if row["status"] != "ok" or not row[column]:
-        return None
-    return float(row[column])
-
-
 @np.errstate(over="ignore")
 def _group_means(rows: list[dict], column: str, key=_cell) -> dict[tuple, float]:
-    """key(row) -> mean of the column over the rows that have a value."""
+    """key(row) -> mean of the column over the rows that have a value (a
+    failed row has none)."""
     acc = defaultdict(list)
     for row in rows:
-        value = _metric(row, column)
-        if value is not None:
-            acc[key(row)].append(value)
+        if row[column]:
+            acc[key(row)].append(float(row[column]))
     means = {cell: float(np.mean(vals)) for cell, vals in acc.items()}
     for cell, mean in means.items():
         if not np.isfinite(mean) and np.isfinite(acc[cell]).all():
@@ -145,8 +139,8 @@ def per_seed_traces(rows: list[dict], column: str) -> tuple[list[str], list[list
     out = []
     for lvl in STABILITY_LEVELS:
         cell = (STABILITY_ARCH, *augment.parse_level(lvl))
-        cells = sorted((int(r["seed"]), _metric(r, column)) for r in rows
-                       if _cell(r) == cell and _metric(r, column) is not None)
+        cells = sorted((int(r["seed"]), float(r[column])) for r in rows
+                       if _cell(r) == cell and r[column])
         if not cells:
             raise IncompleteDataError([(STABILITY_ARCH, lvl)])
         for seed, v in cells:

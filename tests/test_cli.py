@@ -200,7 +200,8 @@ class TestTrainEvaluate:
 
     @pytest.mark.parametrize("meta, message", [
         ({"format_version": 2}, "unsupported model format version 2"),
-        ({"activation": "softplus"}, "unknown activation 'softplus'"),
+        ({"activation": "softplus"},
+         "activation must be one of relu, tanh, sigmoid, got 'softplus'"),
         ({"hidden_widths": [0]}, "hidden widths must be >= 1, got (0,)"),
         ({"hidden_widths": [5]}, "flat vector must be float64 of length 21"),
     ], ids=["format_version", "activation", "width_0", "widths_not_the_vector"])
@@ -223,7 +224,7 @@ class TestTrainEvaluate:
         code, _, err = run(["train", records_csv, "--arch", "4", "--epochs", "1",
                             "--batch", "8", "--seed", "-1",
                             "--out", str(tmp_path / "m.npz")], capsys)
-        assert (code, err) == (cli.EXIT_USAGE, "error: seeds must be >= 0\n")
+        assert (code, err) == (cli.EXIT_USAGE, "error: seed must be >= 0, got -1\n")
         assert not (tmp_path / "m.npz").exists()
 
     @pytest.mark.parametrize("energies, options, message", [
@@ -736,7 +737,7 @@ class TestStrictResultsCsv:
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',none,', ',mixup,')}\n",
          "line 3: unknown augmentation technique 'mixup'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '32-0-8')}\n",
-         "line 2: arch field '32-0-8': hidden widths must be >= 1"),
+         "line 2: hidden widths must be >= 1, got (32, 0, 8)"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',-1,')}\n",
          "line 2: rms_test_mev field '-1.0': a metric must not be negative"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',0.1,', ',-inf,')}\n",
@@ -748,15 +749,15 @@ class TestStrictResultsCsv:
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',gaussian,0,')}\n",
          "line 2: gaussian takes k >= 1, got k=0"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',relu,0,', ',relu,-3,')}\n",
-         "line 2: seed field '-3': must be an integer >= 0"),
+         "line 2: seed must be >= 0, got -3"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',3500,', ',0,')}\n",
-         "line 3: epochs field '0': must be an integer >= 1"),
+         "line 3: epochs must be >= 1, got 0"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',64,', ',-64,')}\n",
-         "line 2: batch field '-64': must be an integer >= 1"),
+         "line 2: batch_size must be >= 1, got -64"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',adam,', ',sgd,')}\n",
-         "line 2: optimizer field 'sgd': expected one of adam, nadam, adamax, rmsprop"),
+         "line 2: optimizer must be one of adam, nadam, adamax, rmsprop, got 'sgd'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',relu,', ',softplus,')}\n",
-         "line 2: activation field 'softplus': expected one of relu, tanh, sigmoid"),
+         "line 2: activation must be one of relu, tanh, sigmoid, got 'softplus'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',ok', ',banana')}\n",
          "line 2: status field 'banana': expected ok or failed: <reason>"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',ok', ',failed:x')}\n",
@@ -973,6 +974,99 @@ class TestLevelRule:
                     "--out", str(tmp_path)], capsys) == (
             cli.EXIT_USAGE, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == [records]
+
+
+# a good trial's settings, and each bad one with the message of its owner's rule
+# (NetworkSpec, OptimizerConfig or TrainConfig)
+GOOD_SETTINGS = {"widths": (4,), "activation": "relu", "optimizer": "adam",
+                 "epochs": 1, "batch": 8, "seed": 0}
+BAD_SETTINGS = {
+    "optimizer": ({"optimizer": "sgd"},
+                  "optimizer must be one of adam, nadam, adamax, rmsprop, got 'sgd'"),
+    "activation": ({"activation": "softplus"},
+                   "activation must be one of relu, tanh, sigmoid, got 'softplus'"),
+    "width_0": ({"widths": (4, 0)}, "hidden widths must be >= 1, got (4, 0)"),
+    "epochs_0": ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    "batch_0": ({"batch": 0}, "batch_size must be >= 1, got 0"),
+    "seed_negative": ({"seed": -3}, "seed must be >= 0, got -3"),
+}
+# every input that takes a trial setting -> the bad settings it can express:
+# `train --optimizer` and `--activation` have argparse choices, and a model
+# file records only the network
+SETTING_INPUTS = {
+    "config": list(BAD_SETTINGS),
+    "train": [name for name in BAD_SETTINGS if name not in ("optimizer", "activation")],
+    "trial_spec": list(BAD_SETTINGS),
+    "results_csv": list(BAD_SETTINGS),
+    "model_file": ["activation", "width_0"],
+}
+
+
+class TestTrialSettingRules:
+    """One owner for each trial setting's rule, with one message at every
+    input that takes the setting; each input adds only its own framing and
+    exit code, and writes nothing."""
+
+    @pytest.mark.parametrize("door, name", [(door, name) for door, names in
+                                            SETTING_INPUTS.items() for name in names])
+    def test_one_rule_one_message(self, door, name, tmp_path, capsys, edit_model_meta):
+        change, message = BAD_SETTINGS[name]
+        self.edit_model_meta = edit_model_meta
+        getattr(self, door)(tmp_path, capsys, {**GOOD_SETTINGS, **change}, message)
+
+    def config(self, tmp_path, capsys, s, message):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20)
+                          .replace("6-4:25:64", f"{'-'.join(map(str, s['widths']))}:"
+                                                f"{s['epochs']}:{s['batch']}")
+                          .replace("seeds = 0 1", f"seeds = {s['seed']}\n"
+                                                  f"activation = {s['activation']}")
+                          .replace("algorithm = adam", f"algorithm = {s['optimizer']}"))
+        # the optimizer section is one OptimizerConfig, which frames nothing
+        framing = "" if message.startswith("optimizer") else "bad config [sweep]: "
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(config), "--out", str(out)], capsys) == (
+            cli.EXIT_USAGE, "", f"error: {framing}{message}\n")
+        assert not out.exists()
+
+    def train(self, tmp_path, capsys, s, message):
+        records = tmp_path / "records.csv"
+        ame.write_records_csv(toy_records(), records)
+        assert run(["train", str(records), "--arch", "-".join(map(str, s["widths"])),
+                    "--epochs", str(s["epochs"]), "--batch", str(s["batch"]),
+                    "--seed", str(s["seed"]), "--out", str(tmp_path / "model.npz")],
+                   capsys) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [records]
+
+    def trial_spec(self, tmp_path, capsys, s, message):
+        with pytest.raises(ConfigurationError) as exc:
+            experiment.TrialSpec(hidden_widths=s["widths"], activation=s["activation"],
+                                 technique="none", k=0, seed=s["seed"],
+                                 optimizer=OptimizerConfig(algorithm=s["optimizer"]),
+                                 epochs=s["epochs"], batch_size=s["batch"])
+        assert str(exc.value) == message
+
+    def results_csv(self, tmp_path, capsys, s, message):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{RESULTS_HEADER}\n{'-'.join(map(str, s['widths']))},none,0,"
+                        f"{s['optimizer']},{s['activation']},{s['seed']},2.0,2.5,0.1,"
+                        f"{s['epochs']},{s['batch']},ok\n")
+        assert run(["report", str(path), "--figure", "table2", "--out", str(tmp_path)],
+                   capsys) == (cli.EXIT_DATA, "", f"data error: line 2: {message}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def model_file(self, tmp_path, capsys, s, message):
+        records = tmp_path / "records.csv"
+        ame.write_records_csv(toy_records(), records)
+        model = tmp_path / "model.npz"
+        assert run(["train", str(records), "--arch", "4", "--epochs", "1", "--batch", "8",
+                    "--out", str(model)], capsys)[0] == cli.EXIT_OK
+        self.edit_model_meta(model, hidden_widths=list(s["widths"]),
+                             activation=s["activation"])
+        out = tmp_path / "predictions.csv"
+        assert run(["evaluate", str(model), str(records), "--out", str(out)], capsys) == (
+            cli.EXIT_DATA, "", f"data error: {model} is not a model file: {message}\n")
+        assert not out.exists()
 
 
 class TestTopLevel:

@@ -125,7 +125,7 @@ class TestTrialSpec:
         assert toy_spec(hidden_widths=(32, 16, 8)).arch_label == "32-16-8"
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigurationError, match="seeds must be >= 0"):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
             toy_spec(seed=-1)
 
     @pytest.mark.parametrize("technique, k", [("none", 3), ("none", -1), ("error", 1)])
@@ -325,6 +325,30 @@ class TestTrialCache:
         # the retrained trial's file was overwritten, so it is a hit from now on
         assert experiment._cached_result(toy_spec(seed=1), cache, dataset_tag(split)) is not None
 
+    @pytest.mark.parametrize("field, column, value", [
+        ("rms_extrapolation", "rms_extrap_mev", math.inf),
+        ("rms_test", "rms_test_mev", math.nan),
+    ], ids=["inf", "nan"])
+    def test_non_finite_metric_is_strict_json_and_a_hit(self, tmp_path, field, column, value):
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        split = toy_split()
+        cache = tmp_path / "trials"
+        cache.mkdir()
+        experiment._store_result(dataclasses.replace(self.RESULT, **{field: value}),
+                                 str(cache), dataset_tag(split))
+        (path,) = cache.iterdir()
+        assert json.loads(path.read_text(), parse_constant=reject)[field] == repr(value)
+
+        seen = []
+        table = sweep(architectures=[((6, 4), 40, 8)], levels=[("none", 0)], seeds=[0],
+                      optimizer=OptimizerConfig(), activation="relu", split=split,
+                      cache_dir=str(cache), progress=lambda res, cached: seen.append(cached))
+        assert seen == [True]
+        table.write_csv(tmp_path / "results.csv")
+        assert read_results_csv(tmp_path / "results.csv")[0][column] == repr(value)
+
     def test_failed_result_round_trips(self, tmp_path):
         failed = dataclasses.replace(self.RESULT, rms_test=None, final_train_loss=None,
                                      status="failed: non-finite training loss at epoch 2")
@@ -452,7 +476,7 @@ class TestSweep:
                               OptimizerConfig(), activation)
 
     @pytest.mark.parametrize("architectures, levels, seeds, message", [
-        ([((6, 4), 40, 8)], [("none", 0)], [0, -1], "seeds must be >= 0"),
+        ([((6, 4), 40, 8)], [("none", 0)], [0, -1], "seed must be >= 0, got -1"),
         ([((6, 4), 40, 8)], [("none", 0)], [0, 1, 0], "the sweep's seeds repeat 0"),
         ([((6, 4), 40, 8)], [("gaussian", 2), ("none", 0), ("gaussian", 2)], [0],
          "the sweep's levels repeat gaussian2"),
@@ -488,7 +512,6 @@ class TestManifest:
                        architectures=[((6, 4), 40, 8)],
                        optimizer=OptimizerConfig(), activation="relu",
                        noise_seed=0, input_standardize=True,
-                       target_standardize=True,
                        ame_checksums={"ame2016": "abc"})
         manifest = json.loads(path.read_text())
         assert manifest["dataset_tag"] == dataset_tag(split, extra)

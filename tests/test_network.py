@@ -53,7 +53,11 @@ class TestSpecAndCounts:
             assert network.parse_arch(network.arch_label(widths)) == widths
             assert NetworkSpec(widths).arch_label == network.arch_label(widths)
 
-    @pytest.mark.parametrize("text", ["0", "32-0-8", "32--8", "", "32-x", "-8", "32-"])
+    def test_parse_arch_reads_only_the_syntax(self):
+        # whether the widths make a network is NetworkSpec's rule (TestTrialSettingRules)
+        assert network.parse_arch("32-0-8") == (32, 0, 8)
+
+    @pytest.mark.parametrize("text", ["32--8", "", "32-x", "-8", "32-"])
     def test_parse_arch_rejects(self, text):
         with pytest.raises(ValueError):
             network.parse_arch(text)
@@ -271,13 +275,13 @@ class TestTraining:
                   TrainConfig(epochs=1, batch_size=4), OptimizerConfig())
 
     def test_invalid_config(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^epochs must be >= 1, got 0$"):
             TrainConfig(epochs=0, batch_size=4)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^batch_size must be >= 1, got 0$"):
             TrainConfig(epochs=1, batch_size=0)
-        with pytest.raises(ConfigurationError, match="seeds must be >= 0"):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
             TrainConfig(epochs=1, batch_size=4, init_seed=-1)
-        with pytest.raises(ConfigurationError, match="seeds must be >= 0"):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
             TrainConfig(epochs=1, batch_size=4, shuffle_seed=-1)
 
 
