@@ -16,7 +16,9 @@ interquartile range; ``regression`` when its median is worse than the
 parent's by more than the metric's bound; ``unresolved`` when the parent's
 own spread is wider than the bound and not every change run beats every
 parent run; ``within_bound`` otherwise. With ``--trace``, one traced run per
-side adds every per-layer metric.
+side adds every per-layer metric, the layers it found absent and the
+problems its ``# run`` line names, such as a traced count that differs from
+the computed one.
 
 Results go to ``BENCH_<TAG>.json`` at the root of the checkout. Each group
 of runs names the parent commit and the checkout it ran against: HEAD, a
@@ -170,10 +172,11 @@ def measure(trees: dict, workload: str, seed: int, pairs: int, trace: bool,
         group["traced"] = {}
         for side in ("parent", "change"):
             result = runner(trees[side], workload, seed, seconds, True)
+            run = result.get("run", {})
             group["traced"][side] = {
                 "correct": result["correct"],
                 "metrics": {name: v["value"] for name, v in result["metrics"].items()},
-                "absent": result.get("run", {}).get("absent", {})}
+                "absent": run.get("absent", {}), "problems": run.get("problems", [])}
             group["correct"] = group["correct"] and result["correct"]
     return group
 

@@ -241,18 +241,23 @@ def filter_experimental(records: Iterable[NuclideRecord],
             if r.z >= z_min and r.n >= n_min and not r.estimated]
 
 
+def unique_keys(records: Iterable[NuclideRecord], name: str) -> list[tuple[int, int]]:
+    """The (Z, A) of each record, in order; DataIntegrityError naming the
+    `name` input and every repeated key if a key repeats."""
+    keys = list(map(NuclideRecord.key.fget, records))
+    if len(keys) != len(set(keys)):
+        seen, dups = set(), set()
+        for k in keys:
+            (dups if k in seen else seen).add(k)
+        raise DataIntegrityError(f"duplicate (Z, A) in {name} input: {sorted(dups)}")
+    return keys
+
+
 def diff_new_nuclei(old: Iterable[NuclideRecord],
                     new: Iterable[NuclideRecord]) -> list[NuclideRecord]:
     """Records present in `new` but absent from `old`, keyed by (Z, A)."""
     new = list(new)
-    key = NuclideRecord.key.fget
-    old_keys, new_keys = list(map(key, old)), list(map(key, new))
-    for name, keys in (("old", old_keys), ("new", new_keys)):
-        if len(keys) != len(set(keys)):
-            seen, dups = set(), set()
-            for k in keys:
-                (dups if k in seen else seen).add(k)
-            raise DataIntegrityError(f"duplicate (Z, A) in {name} input: {sorted(dups)}")
+    old_keys, new_keys = unique_keys(old, "old"), unique_keys(new, "new")
     known = set(old_keys)
     return [r for r, k in zip(new, new_keys) if k not in known]
 
@@ -279,18 +284,34 @@ CSV_COLUMNS = ["z", "n", "a", "be_total_mev", "be_err_mev", "estimated"]
 
 
 def write_csv(path, header: list[str], rows: Iterable) -> None:
-    """Write a header line and rows; every CSV the package writes goes here."""
+    """Write a header line and rows through csv.writer, which quotes a field
+    that needs it: results.csv and the report CSVs, whose status and label
+    text can. The two interchange CSVs, whose fields are numbers and fixed
+    names that never need quoting, are written as text by write_csv_lines."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
 
 
+def write_csv_lines(path, header: list[str], lines: Iterable[str]) -> None:
+    """Write a header line and data lines, each already ended by CRLF: the
+    bytes csv.writer writes for fields that need no quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + "".join(lines))
+
+
+def record_columns(records: Iterable[NuclideRecord]) -> tuple[tuple, ...]:
+    """The records' fields, one tuple per field, in one transpose."""
+    return tuple(zip(*records)) or ((),) * len(NuclideRecord._fields)
+
+
 def write_records_csv(records: Iterable[NuclideRecord], path) -> None:
-    """Write the canonical nuclide CSV, the interchange format of the pipeline."""
-    write_csv(path, CSV_COLUMNS,
-              ((r.z, r.n, r.a, repr(r.be_total), repr(r.be_err), int(r.estimated))
-               for r in records))
+    """Write the canonical nuclide CSV, the interchange format of the pipeline:
+    Z, N and A as integers, the energies as repr floats and estimated as 0 or 1."""
+    z, n, a, be_total, be_err, estimated = record_columns(records)
+    write_csv_lines(path, CSV_COLUMNS, map("{},{},{},{!r},{!r},{}\r\n".format,
+                                           z, n, a, be_total, be_err, map(int, estimated)))
 
 
 def csv_rows(path, columns: list[str]):

@@ -29,7 +29,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .ame import NuclideRecord, bad_field, csv_rows, write_csv
+from .ame import (NuclideRecord, bad_field, csv_rows, record_columns, unique_keys,
+                  write_csv_lines)
 from .errors import ConfigurationError, DataIntegrityError
 
 ORIGIN_ORIGINAL = 0
@@ -73,13 +74,8 @@ def _rows(z, a, energy, origin) -> np.ndarray:
     return rows
 
 
-def _columns(records: list[NuclideRecord]) -> tuple[tuple, ...]:
-    """The records' fields, one tuple per field, in one transpose."""
-    return tuple(zip(*records)) if records else ((),) * len(NuclideRecord._fields)
-
-
 def _originals(train: list[NuclideRecord]) -> np.ndarray:
-    z, _, a, be_total, _, _ = _columns(train)
+    z, _, a, be_total, _, _ = record_columns(train)
     return _rows(z, a, be_total, ORIGIN_ORIGINAL)
 
 
@@ -111,7 +107,7 @@ def error_resample(train: list[NuclideRecord]) -> AugmentedTrainingSet:
     """
     if not train:
         raise ConfigurationError("error_resample requires a nonempty training set")
-    z, _, a, be_total, be_err, _ = _columns(train)
+    z, _, a, be_total, be_err, _ = record_columns(train)
     base = _rows(z, a, be_total, ORIGIN_ORIGINAL)
     err = np.array(be_err)
     shifted = err > 0
@@ -228,13 +224,23 @@ _SIDECAR_KEYS = ("base_size", "k", "noise_seed", "technique")
 
 def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], path) -> None:
     """Canonical nuclide CSV extended with an `origin` column, plus a sidecar
-    manifest (<path>.manifest.json) recording technique, k, base_size and seed."""
-    err = {r.key: repr(r.be_err) for r in source}
-    names = {code: origin_name(code) for code in set(aug.rows["origin"].tolist())}
-    # tolist() yields Python scalars, whose repr is the plain number
-    write_csv(path, AUGMENTED_CSV_COLUMNS,
-              ((z, a - z, a, repr(energy), err[(z, a)], 0, names[origin])
-               for z, a, energy, origin in aug.rows.tolist()))
+    manifest (<path>.manifest.json) recording technique, k, base_size and seed.
+
+    Each row takes Z, N, A and the uncertainty of the source record of its
+    (Z, A), so a (Z, A) that repeats in `source` raises DataIntegrityError."""
+    index = {key: i for i, key in enumerate(unique_keys(source, "augment"))}
+    z, n, a, _, be_err, _ = record_columns(source)
+    # the "z,n,a," head and ",be_err,0," tail of each source record, formatted once
+    heads = list(map("{},{},{},".format, z, n, a))
+    tails = list(map(",{!r},0,".format, be_err))
+    rows = aug.rows
+    origin = rows["origin"].tolist()
+    names = {code: origin_name(code) for code in set(origin)}
+    source_of = list(map(index.__getitem__, zip(rows["z"].tolist(), rows["a"].tolist())))
+    # tolist() yields Python floats, whose repr is the plain number
+    write_csv_lines(path, AUGMENTED_CSV_COLUMNS, map(
+        "{}{!r}{}{}\r\n".format, map(heads.__getitem__, source_of), rows["energy"].tolist(),
+        map(tails.__getitem__, source_of), map(names.__getitem__, origin)))
     manifest = {key: getattr(aug, key) for key in _SIDECAR_KEYS}
     with open(str(path) + ".manifest.json", "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -197,7 +197,10 @@ def _load_sweep_config(path):
 
     config = {section: {key: get(section, key, *spec) for key, spec in keys.items()}
               for section, keys in SWEEP_CONFIG_KEYS.items()}
-    opt = OptimizerConfig(**config["optimizer"])
+    try:
+        opt = OptimizerConfig(**config["optimizer"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"bad config [optimizer]: {exc}") from None
     try:  # every trial's settings, before a mass table is read or an output written
         experiment.build_trial_specs(optimizer=opt, **config["sweep"])
     except ConfigurationError as exc:

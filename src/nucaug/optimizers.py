@@ -45,13 +45,13 @@ class OptimizerConfig:
     def __post_init__(self):
         check_algorithm(self.algorithm)
         if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be > 0")
+            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("beta1", "beta2", "rmsprop_decay"):
             val = getattr(self, name)
             if not 0.0 <= val < 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1), got {val}")
         if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be > 0")
+            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass

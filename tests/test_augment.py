@@ -377,6 +377,32 @@ class TestAugmentedCsv:
         with pytest.raises(MassTableParseError, match="unexpected CSV header"):
             augment.read_augmented_csv(path)
 
+    @pytest.mark.parametrize("technique", ["none", "error", "gaussian"])
+    def test_repeated_key_is_data_error(self, tmp_path, technique):
+        # each row takes the uncertainty of its (Z, A)'s record, which a
+        # repeated (Z, A) leaves ambiguous
+        records = tmp_path / "records.csv"
+        records.write_text(",".join(ame.CSV_COLUMNS) + "\n"
+                           "20,20,40,342.05,0.1,0\n20,20,40,342.05,0.7,0\n")
+        out = tmp_path / "aug.csv"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["augment", str(records), "--technique", technique,
+                             "--out", str(out)])
+        assert (code, stderr.getvalue()) == (
+            cli.EXIT_DATA, "data error: duplicate (Z, A) in augment input: [(20, 40)]\n")
+        assert sorted(tmp_path.iterdir()) == [records]
+
+    def test_repeated_key_message_is_the_diff_message(self):
+        twice = [SAMPLE[0], *SAMPLE, SAMPLE[2]]
+        with pytest.raises(DataIntegrityError) as exc:
+            augment.write_augmented_csv(augment.identity_set(twice), twice, "unwritten.csv")
+        keys = sorted({SAMPLE[0].key, SAMPLE[2].key})
+        assert str(exc.value) == f"duplicate (Z, A) in augment input: {keys}"
+        with pytest.raises(DataIntegrityError) as exc:
+            ame.diff_new_nuclei(twice, [])
+        assert str(exc.value) == f"duplicate (Z, A) in old input: {keys}"
+
     def test_out_of_range_mass_number_is_data_error(self):
         with pytest.raises(DataIntegrityError, match="64-bit"):
             augment.identity_set([rec(8, 10**20, 127.6, 0.1)])

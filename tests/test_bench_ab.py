@@ -21,17 +21,19 @@ class StubRunner:
     """Results of the benchmark from fixed value lists: the i-th run of a
     side reads the i-th value of that side's list for every metric."""
 
-    def __init__(self, parent, change, correct=True):
+    def __init__(self, parent, change, correct=True, traced_problems=()):
         self.values = {"parent": list(parent), "change": list(change)}
         self.correct = correct
+        self.traced_problems = list(traced_problems)
         self.calls = []
 
     def __call__(self, tree, workload, seed, seconds, trace):
         self.calls.append((tree, workload, seed, seconds, trace))
         if trace:
-            return {"correct": True, "attempted": 1, "failed": 0,
+            problems = self.traced_problems if tree == "change" else []
+            return {"correct": not problems, "attempted": 1, "failed": 0,
                     "metrics": {"ame.parse_s": {"value": 0.01, "unit": "s"}},
-                    "run": {"absent": {}}}
+                    "run": {"absent": {}, "problems": problems}}
         value = self.values[tree].pop(0)
         return {"correct": self.correct, "attempted": 4, "failed": 0,
                 "metrics": {name: {"value": value, "unit": m["unit"]}
@@ -115,7 +117,17 @@ class TestMeasure:
         assert not group["correct"]
         assert [call[0] for call in runner.calls if call[4]] == ["parent", "change"]
         assert group["traced"]["change"] == {"correct": True, "metrics": {"ame.parse_s": 0.01},
-                                             "absent": {}}
+                                             "absent": {}, "problems": []}
+
+    def test_traced_count_mismatch_says_why(self):
+        problem = "traced unit 0: augment.rows_out = 15104, computed 15105"
+        group = measure(StubRunner([1.0, 1.0], [1.0, 1.0], traced_problems=[problem]), 2,
+                        trace=True)
+        assert not group["correct"]
+        assert group["traced"]["change"]["problems"] == [problem]
+        assert group["traced"]["parent"] == {"correct": True,
+                                             "metrics": {"ame.parse_s": 0.01},
+                                             "absent": {}, "problems": []}
 
 
 class TestLedger:

@@ -535,6 +535,21 @@ class TestSweepConfig:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not list((tmp_path / "out").glob("trials/*.json"))
 
+    @pytest.mark.parametrize("line, message", [
+        ("learning_rate = 0", "learning_rate must be > 0, got 0.0"),
+        ("epsilon = -1e-8", "epsilon must be > 0, got -1e-08"),
+        ("beta2 = 1", "beta2 must be in [0, 1), got 1.0"),
+        ("algorithm = sgd", "optimizer must be one of adam, nadam, adamax, rmsprop, got 'sgd'"),
+    ])
+    def test_optimizer_fault_names_its_section_and_value(self, line, message, tmp_path,
+                                                         capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(self.VALID.replace("algorithm = adam", line))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(config), "--out", str(out)], capsys) == (
+            cli.EXIT_USAGE, "", f"error: bad config [optimizer]: {message}\n")
+        assert not out.exists()
+
     LINES = st.one_of(
         st.sampled_from(["[data]", "[split]", "[sweep]", "[optimizer]",
                          "[DEFAULT]", "[", "  continued"]),
@@ -688,7 +703,8 @@ class TestCsvReaderFuzz:
 
         for argv, ok in (
                 (["augment", str(path), "--technique", "error",
-                  "--out", str(base / "fuzz_aug.csv")], bool(records)),
+                  "--out", str(base / "fuzz_aug.csv")],
+                 bool(records) and len({r.key for r in records}) == len(records)),
                 (["train", str(path), "--arch", "4", "--epochs", "1", "--batch", "8",
                   "--out", str(base / "fuzz_model.npz")], loaded),
                 *((["report", str(path), "--figure", figure, "--out", str(base)],
@@ -1022,11 +1038,11 @@ class TestTrialSettingRules:
                           .replace("seeds = 0 1", f"seeds = {s['seed']}\n"
                                                   f"activation = {s['activation']}")
                           .replace("algorithm = adam", f"algorithm = {s['optimizer']}"))
-        # the optimizer section is one OptimizerConfig, which frames nothing
-        framing = "" if message.startswith("optimizer") else "bad config [sweep]: "
+        # the optimizer is an [optimizer] key, the other settings [sweep] keys
+        section = "optimizer" if message.startswith("optimizer") else "sweep"
         out = tmp_path / "out"
         assert run(["sweep", "--config", str(config), "--out", str(out)], capsys) == (
-            cli.EXIT_USAGE, "", f"error: {framing}{message}\n")
+            cli.EXIT_USAGE, "", f"error: bad config [{section}]: {message}\n")
         assert not out.exists()
 
     def train(self, tmp_path, capsys, s, message):
