@@ -22,9 +22,10 @@ the computed one.
 
 Results go to ``BENCH_<TAG>.json`` at the root of the checkout. Each group
 of runs names the parent commit and the checkout it ran against: HEAD, a
-dirty flag and the SHA-256 of ``git diff HEAD``. A group replaces the group
-of the same parent, workload and seed in that file, and other groups are
-kept, so one file can collect several invocations.
+dirty flag and a SHA-256 of what the benchmark runs (checkout_identity). A
+group replaces the group of the same parent, workload and seed in that
+file, and other groups are kept, so one file can collect several
+invocations.
 A run takes about 25 s: ten ``headline_cell`` pairs take about 8 min, and
 five pairs of all three workloads 12-15 min.
 """
@@ -74,21 +75,32 @@ def extract(rev: str, dest: str) -> str:
     return commit.stdout.strip()
 
 
+# what a benchmark run reads of a checkout: its package and the harness
+BENCHED_PATHS = ("src", "perfbench", "BENCHMARK.json")
+
+
 def checkout_identity(root: str = ROOT) -> dict:
     """What the change side runs: HEAD of the checkout at `root`, whether
-    the checkout differs from it (untracked files count), and the SHA-256 of
-    ``git diff HEAD`` when it does."""
+    BENCHED_PATHS differ from it (tracked edits and untracked files alike),
+    and, when they do, one SHA-256 of their ``git diff HEAD`` and of the
+    name and bytes of each untracked file among them. Edits elsewhere, such
+    as to the README or the ledger being written, leave it as it is."""
     def git(*argv):
         return subprocess.run(["git", *argv], cwd=root, capture_output=True,
                               check=True).stdout
     try:
         head = git("rev-parse", "HEAD").decode().strip()
-        dirty = bool(git("status", "--porcelain"))
-        diff = git("diff", "HEAD", "--binary")
+        diff = git("diff", "HEAD", "--binary", "--", *BENCHED_PATHS)
+        untracked = git("ls-files", "--others", "--exclude-standard", "-z", "--",
+                        *BENCHED_PATHS).split(b"\0")[:-1]
     except subprocess.CalledProcessError as exc:
         raise BenchError(f"git cannot describe {root}: {exc.stderr.decode().strip()}") from None
-    return {"head": head, "dirty": dirty,
-            "diff_sha256": hashlib.sha256(diff).hexdigest() if dirty else None}
+    h = hashlib.sha256(diff)
+    for name in untracked:
+        with open(os.path.join(root, os.fsdecode(name)), "rb") as fh:
+            h.update(b"\0" + name + b"\0" + fh.read())
+    dirty = bool(diff or untracked)
+    return {"head": head, "dirty": dirty, "diff_sha256": h.hexdigest() if dirty else None}
 
 
 def run_perfbench(tree: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:

@@ -210,24 +210,14 @@ def _raise_first_bad_line(content: bytes, layout: MassTableLayout) -> None:
         if len(line) < layout.min_width:
             raise MassTableParseError(
                 line_no, f"line width {len(line)} < required {layout.min_width}")
-        fields = [line[c0:c1] for c0, c1 in layout.columns]
-        try:
-            a = int(fields[2])
-        except ValueError:
-            a = 0  # bad_field names A before it reads an energy
+        # strip only what int() and float() skip, so that a \x1f is named
+        fields = [line[c0:c1].strip(string.whitespace) for c0, c1 in layout.columns]
+        n, z, a = read_fields(line_no, _FIELD_NAMES[:3], (int,) * 3, fields[:3])
 
-        def energy(text):
-            return float(text.replace("#", ".")) * a / 1000.0
+        def bea(text):  # keV per nucleon, "#" for the point of an estimate, to MeV
+            return energy(float(text.replace("#", ".")) * a / 1000.0)
 
-        kinds = (int, int, int, energy, energy)
-        try:
-            n, z, a, be_total, be_err = [kind(text) for kind, text in zip(kinds, fields)]
-            if not (math.isfinite(be_total) and math.isfinite(be_err)):
-                raise ValueError
-        except ValueError:
-            # strip only what int() and float() skip, so that a \x1f is named
-            raise bad_field(line_no, _FIELD_NAMES, kinds,
-                            [field.strip(string.whitespace) for field in fields]) from None
+        be_total, be_err = read_fields(line_no, _FIELD_NAMES[3:], (bea, bea), fields[3:])
         NuclideRecord(z, n, a, be_total, be_err, False)  # A != Z + N, a negative energy
 
 
@@ -314,67 +304,98 @@ def write_records_csv(records: Iterable[NuclideRecord], path) -> None:
                                            z, n, a, be_total, be_err, map(int, estimated)))
 
 
-def csv_rows(path, columns: list[str]):
-    """(line number, fields) of each data row of a CSV file headed `columns`.
+def read_csv(path, columns: list[str], kinds, rule) -> list:
+    """rule(fields, row) of each data row of a CSV file headed `columns`,
+    where `row` is the row's text and `fields` its values read by `kinds`.
 
-    Blank lines are skipped. Another header, a row with more or fewer fields
-    than the header, or text the csv module cannot split raises
-    MassTableParseError naming the line; a file that is not UTF-8 text
-    raises DataIntegrityError naming the file.
-    """
+    Blank lines are skipped. Another header, a row of another width, text
+    the csv module cannot split, a field its kind rejects (read_fields) and
+    a ConfigurationError or DataIntegrityError of `rule` raise
+    MassTableParseError naming the line; text that is not UTF-8 raises
+    DataIntegrityError naming the file."""
+    out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header != columns:
                 raise MassTableParseError(1, f"unexpected CSV header {header}")
-            width = len(columns)
             for row in reader:
-                if len(row) != width:
+                if len(row) != len(columns):
                     if not row:
                         continue
                     raise MassTableParseError(
-                        reader.line_num, f"{len(row)} fields, expected {width}")
-                yield reader.line_num, row
+                        reader.line_num, f"{len(row)} fields, expected {len(columns)}")
+                fields = read_fields(reader.line_num, columns, kinds, row)
+                try:
+                    out.append(rule(fields, row))
+                except (ConfigurationError, DataIntegrityError) as exc:
+                    raise MassTableParseError(reader.line_num, str(exc)) from None
         except csv.Error as exc:
             raise MassTableParseError(reader.line_num, f"malformed CSV row: {exc}") from None
         except UnicodeDecodeError:
             # decoding runs a block at a time, so no line can be named
             raise DataIntegrityError(f"{path} is not UTF-8 text") from None
+    return out
 
 
-def bad_field(line_no: int, columns, types, row) -> MassTableParseError:
-    """The error for the first field of `row` that its type does not read,
-    or rejects with a ConfigurationError, or that reads as a non-finite float."""
-    for name, kind, text in zip(columns, types, row):
+class _NotFinite(ValueError):
+    """A number, but nan or an infinity."""
+
+
+def read_fields(line_no: int, columns, kinds, row) -> list:
+    """The fields of `row`, each read by its kind: a callable that raises
+    ValueError for text that is not a number of its kind, _NotFinite for nan
+    or an infinity, and ConfigurationError for a number out of its range;
+    MassTableParseError naming the line and the first field rejected."""
+    try:
+        return [kind(text) for kind, text in zip(kinds, row)]
+    except ValueError:
+        pass
+    for name, kind, text in zip(columns, kinds, row):
         try:
-            value = kind(text)
+            kind(text)
+        except _NotFinite:
+            raise MassTableParseError(
+                line_no, f"{name} field {text!r} is not a finite energy") from None
         except ConfigurationError as exc:  # a number, but out of range
-            return MassTableParseError(line_no, f"{name} field {text!r}: {exc}")
+            raise MassTableParseError(line_no, f"{name} field {text!r}: {exc}") from None
         except ValueError:
-            return MassTableParseError(line_no, f"non-numeric {name} field {text!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            return MassTableParseError(line_no, f"{name} field {text!r} is not a finite energy")
-    return MassTableParseError(line_no, f"unreadable row {row}")
+            raise MassTableParseError(line_no, f"non-numeric {name} field {text!r}") from None
 
 
-_CSV_TYPES = (int, int, int, float, float, int)
-_INT64 = range(-2 ** 63, 2 ** 63)
+def energy(text) -> float:
+    """The kind of an energy field: a finite float, from its text or a float."""
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise _NotFinite
+
+
+def int64(text: str) -> int:
+    """The kind of a Z or A field: an integer that fits augmentation's arrays."""
+    value = int(text)
+    if -2 ** 63 <= value < 2 ** 63:
+        return value
+    raise ConfigurationError("does not fit a 64-bit integer")
+
+
+def choice(values: dict):
+    """The kind of a field whose text is a key of `values`, read as its value."""
+    def kind(text: str):
+        try:
+            return values[text]
+        except KeyError:
+            int(text)  # ValueError for text that is not a number
+            raise ConfigurationError(f"expected {' or '.join(values)}") from None
+    return kind
+
+
+flag = choice({"0": False, "1": True})  # estimated, as write_records_csv writes it
 
 
 def read_records_csv(path) -> list[NuclideRecord]:
-    """Read a write_records_csv file; a malformed row, or a Z or A that does
-    not fit the 64-bit arrays of augmentation, raises MassTableParseError
-    naming the line."""
-    records = []
-    for line_no, row in csv_rows(path, CSV_COLUMNS):
-        z, n, a, be_total, be_err, estimated = row
-        try:
-            fields = (int(z), int(n), int(a), float(be_total), float(be_err),
-                      bool(int(estimated)))
-        except ValueError:
-            raise bad_field(line_no, CSV_COLUMNS, _CSV_TYPES, row) from None
-        if fields[0] not in _INT64 or fields[2] not in _INT64:
-            raise MassTableParseError(line_no, "Z or A does not fit a 64-bit integer")
-        records.append(NuclideRecord(*fields))
-    return records
+    """Read a write_records_csv file (read_csv); a row that is not a
+    NuclideRecord raises MassTableParseError naming the line."""
+    return read_csv(path, CSV_COLUMNS, (int64, int, int64, energy, energy, flag),
+                    lambda fields, _: NuclideRecord(*fields))

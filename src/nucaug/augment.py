@@ -22,15 +22,13 @@ generation order does not matter.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .ame import (NuclideRecord, bad_field, csv_rows, record_columns, unique_keys,
-                  write_csv_lines)
+from .ame import (NuclideRecord, choice, energy, int64, read_csv, record_columns,
+                  unique_keys, write_csv_lines)
 from .errors import ConfigurationError, DataIntegrityError
 
 ORIGIN_ORIGINAL = 0
@@ -86,6 +84,14 @@ class AugmentedTrainingSet:
     k: int = 0              # resample count, gaussian only
     noise_seed: int | None = None
 
+    def __post_init__(self):
+        # a shift or a draw near the largest float overflows
+        bad = np.flatnonzero(~np.isfinite(self.rows["energy"]))
+        if len(bad):
+            z, a, value, origin = self.rows[bad[0]].tolist()
+            raise DataIntegrityError(
+                f"the {origin_name(origin)} energy of Z={z} A={a} is not finite: {value}")
+
     @property
     def base_size(self) -> int:
         """The number of original rows."""
@@ -112,9 +118,10 @@ def error_resample(train: list[NuclideRecord]) -> AugmentedTrainingSet:
     err = np.array(be_err)
     shifted = err > 0
     plus, minus = base[shifted], base[shifted]
-    plus["energy"] += err[shifted]
+    with np.errstate(over="ignore"):  # AugmentedTrainingSet names the row instead
+        plus["energy"] += err[shifted]
+        minus["energy"] -= err[shifted]
     plus["origin"] = ORIGIN_ERR_PLUS
-    minus["energy"] -= err[shifted]
     minus["origin"] = ORIGIN_ERR_MINUS
     rows = np.concatenate([base, plus, minus])
     return AugmentedTrainingSet(rows=rows, technique="error")
@@ -246,30 +253,24 @@ def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], 
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-_AUGMENTED_CSV_TYPES = (int, int, int, float, float, int, origin_code)
+# write_augmented_csv writes every row's estimated as 0
+_AUGMENTED_CSV_KINDS = (int64, int, int64, energy, energy, choice({"0": False}), origin_code)
+
+
+def _augmented_row(fields: list, _) -> tuple:
+    z, n, a, row_energy, be_err, _, origin = fields
+    NuclideRecord(z, n, a, 0.0, be_err, False)  # an err_minus energy may be below 0
+    return z, a, row_energy, origin
 
 
 def read_augmented_csv(path) -> AugmentedTrainingSet:
-    """Read a write_augmented_csv file; a malformed row, an energy that is
-    not a finite number, or an origin that origin_name does not print, raises
-    MassTableParseError naming the line and the field, and a
-    sidecar that is not a JSON object of a level (check_level) and of these
-    rows' base_size raises DataIntegrityError naming the sidecar."""
-    z, a, energy, origin = [], [], [], []
-    for line_no, fields in csv_rows(path, AUGMENTED_CSV_COLUMNS):
-        try:
-            row_z, _, row_a, be_total, be_err, _, row_origin = (
-                kind(text) for kind, text in zip(_AUGMENTED_CSV_TYPES, fields))
-            if not (math.isfinite(be_total) and math.isfinite(be_err)):
-                raise ValueError
-        except ValueError:
-            raise bad_field(line_no, AUGMENTED_CSV_COLUMNS, _AUGMENTED_CSV_TYPES,
-                            fields) from None
-        z.append(row_z)
-        a.append(row_a)
-        energy.append(be_total)
-        origin.append(row_origin)
-    rows = _rows(z, a, energy, origin)
+    """Read a write_augmented_csv file (ame.read_csv); a row whose identity
+    or uncertainty is not a NuclideRecord's raises MassTableParseError
+    naming the line, and a sidecar that is not a JSON object of a level
+    (check_level) and of these rows' base_size raises DataIntegrityError
+    naming the sidecar."""
+    rows = np.array(read_csv(path, AUGMENTED_CSV_COLUMNS, _AUGMENTED_CSV_KINDS, _augmented_row),
+                    dtype=ROW_DTYPE)
     sidecar = str(path) + ".manifest.json"
     try:
         with open(sidecar) as fh:
@@ -277,7 +278,7 @@ def read_augmented_csv(path) -> AugmentedTrainingSet:
         if not (isinstance(manifest, dict) and manifest.keys() >= set(_SIDECAR_KEYS)):
             raise ValueError(f"expected a JSON object with the keys {', '.join(_SIDECAR_KEYS)}")
         check_level(manifest["technique"], manifest["k"], manifest["noise_seed"])
-        base, originals = manifest["base_size"], origin.count(ORIGIN_ORIGINAL)
+        base, originals = manifest["base_size"], rows["origin"].tolist().count(ORIGIN_ORIGINAL)
         if (type(base), base) != (int, originals):
             raise ValueError(f"base_size {base!r} is not the {originals} original rows")
     except FileNotFoundError:

@@ -22,8 +22,8 @@ from typing import Iterable
 import numpy as np
 
 from . import augment
-from .ame import DatasetSplit, NuclideRecord, bad_field, csv_rows, write_csv
-from .errors import ConfigurationError, MassTableParseError, TrainingDivergedError
+from .ame import DatasetSplit, NuclideRecord, read_csv, write_csv
+from .errors import ConfigurationError, TrainingDivergedError
 from .network import (NetworkSpec, TrainConfig, TrainedModel, arch_label, check_network,
                       check_training, loss_mse, parse_arch, train)
 from .optimizers import OptimizerConfig, check_algorithm
@@ -229,36 +229,29 @@ def _metric(text: str) -> float | None:
     return float(text) if text else None
 
 
-# what each results column must read as
-_RESULTS_TYPES = (parse_arch, str, int, str, str, int, _metric, _metric, _metric, int, int, str)
+# the kind of each results column
+_RESULTS_KINDS = (parse_arch, str, int, str, str, int, _metric, _metric, _metric, int, int, str)
+
+
+def _results_row(fields: list, row: list[str]) -> dict:
+    values = dict(zip(RESULTS_COLUMNS, fields))
+    check_network(values["arch"], values["activation"])
+    check_algorithm(values["optimizer"])
+    check_training(values["epochs"], values["batch"], values["seed"])
+    augment.check_level(values["augmentation"], values["k"], 0)  # no noise seed
+    _check_outcome(values["status"], values)
+    return dict(zip(RESULTS_COLUMNS, row))
 
 
 def read_results_csv(path) -> list[dict]:
     """Result rows, as dicts of their CSV text, from a ResultTable.write_csv
-    file. A wrong header, a short or long row, an arch that is not hyphenated
-    integers, a k, seed, epochs or batch that is not an integer, a metric that
-    is neither empty nor a number, or a row that breaks the rules of its
-    settings (check_network, check_algorithm, check_training and
-    augment.check_level, in that order) or of its outcome (_check_outcome)
-    raises MassTableParseError naming the line."""
-    rows = []
-    for line_no, row in csv_rows(path, RESULTS_COLUMNS):
-        values = {}
-        for name, kind, text in zip(RESULTS_COLUMNS, _RESULTS_TYPES, row):
-            try:
-                values[name] = kind(text)
-            except ValueError:  # bad_field on this field alone: a metric before it may be inf
-                raise bad_field(line_no, [name], [kind], [text]) from None
-        try:
-            check_network(values["arch"], values["activation"])
-            check_algorithm(values["optimizer"])
-            check_training(values["epochs"], values["batch"], values["seed"])
-            augment.check_level(values["augmentation"], values["k"], 0)  # no noise seed
-            _check_outcome(values["status"], values)
-        except ConfigurationError as exc:
-            raise MassTableParseError(line_no, str(exc)) from None
-        rows.append(dict(zip(RESULTS_COLUMNS, row)))
-    return rows
+    file (ame.read_csv). A wrong header, a short or long row, an arch that is
+    not hyphenated integers, a k, seed, epochs or batch that is not an
+    integer, a metric that is neither empty nor a number, or a row that
+    breaks the rules of its settings (check_network, check_algorithm,
+    check_training and augment.check_level, in that order) or of its outcome
+    (_check_outcome) raises MassTableParseError naming the line."""
+    return read_csv(path, RESULTS_COLUMNS, _RESULTS_KINDS, _results_row)
 
 
 def dataset_tag(split: DatasetSplit,

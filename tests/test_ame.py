@@ -493,9 +493,15 @@ class TestStrictRecordsCsv:
         ("8,8,16,127.619,0.01,no", "non-numeric estimated field 'no'"),
         pytest.param("8,8,16,127.619,0.01," + "1" * 200_000, "malformed CSV row",
                      id="field-over-csv-limit"),
-        # reads as a record, but augmentation keeps Z and A in int64 arrays
+        # reads as a number, but augmentation keeps Z and A in int64 arrays
         ("9223372036854775628,180,9223372036854775808,0.0,0.0,0",
-         "Z or A does not fit a 64-bit integer"),
+         "a field '9223372036854775808': does not fit a 64-bit integer"),
+        ("8,8,16,inf,0.01,0", "be_total_mev field 'inf' is not a finite energy"),
+        ("8,8,16,127.619,nan,0", "be_err_mev field 'nan' is not a finite energy"),
+        # fields that read, in a row that is not a NuclideRecord
+        ("8,8,16,-127.619,0.01,0", "negative binding energy for Z=8 A=16"),
+        ("8,9,16,127.619,0.01,0", "A != Z + N for Z=8 N=9 A=16"),
+        ("8,8,16,127.619,0.01,7", "estimated field '7': expected 0 or 1"),
     ])
     def test_bad_row_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "records.csv"
@@ -517,8 +523,10 @@ class TestStrictRecordsCsv:
         fields[column] = value
         path = tmp_path / "records.csv"
         path.write_text(HEADER + ",".join(fields.values()) + "\n")
-        with pytest.raises(DataIntegrityError, match="non-finite"):
+        with pytest.raises(MassTableParseError) as exc:
             ame.read_records_csv(path)
+        assert exc.value.line_no == 2
+        assert str(exc.value) == f"line 2: {column} field {value!r} is not a finite energy"
 
         out = tmp_path / "aug.csv"
         code, err = cli_error(["augment", str(path), "--technique", "error",

@@ -278,6 +278,12 @@ class TestAugmentedCsv:
         ("8,8,16,127.619,0.01,0,gauss_0", f"origin field 'gauss_0': {ORIGIN_RULE}"),
         ("8,8,16,127.619,0.01,0,gauss_01", f"origin field 'gauss_01': {ORIGIN_RULE}"),
         ('8,8,16,127.619,0.01,0,"x,y"', f"origin field 'x,y': {ORIGIN_RULE}"),
+        ("9223372036854775808,8,9223372036854775816,127.619,0.01,0,original",
+         "z field '9223372036854775808': does not fit a 64-bit integer"),
+        ("8,8,16,127.619,0.01,5,original", "estimated field '5': expected 0"),
+        # fields that read, in a row whose identity or uncertainty is not a record's
+        ("8,9,16,127.619,0.01,0,original", "A != Z + N for Z=8 N=9 A=16"),
+        ("8,8,16,127.619,-0.01,0,err_minus", "negative uncertainty for Z=8 A=16"),
     ])
     def test_bad_row_names_its_line(self, tmp_path, row, message):
         # read_augmented_csv and `nucaug train` on an augmented CSV
@@ -402,6 +408,22 @@ class TestAugmentedCsv:
         with pytest.raises(DataIntegrityError) as exc:
             ame.diff_new_nuclei(twice, [])
         assert str(exc.value) == f"duplicate (Z, A) in old input: {keys}"
+
+    @pytest.mark.parametrize("level, message", [
+        (["--technique", "error"], "the err_plus energy of Z=8 A=16 is not finite: inf"),
+        (["--technique", "gaussian", "--k", "3"],
+         "the gauss_1 energy of Z=8 A=16 is not finite: inf"),
+    ])
+    def test_overflowing_energy_is_data_error(self, tmp_path, level, message):
+        # energies its own readers would reject are never written
+        records = tmp_path / "records.csv"
+        records.write_text(",".join(ame.CSV_COLUMNS) + "\n8,8,16,1.7e308,1.7e308,0\n")
+        out = tmp_path / "aug.csv"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["augment", str(records), *level, "--out", str(out)])
+        assert (code, stderr.getvalue()) == (cli.EXIT_DATA, f"data error: {message}\n")
+        assert sorted(tmp_path.iterdir()) == [records]
 
     def test_out_of_range_mass_number_is_data_error(self):
         with pytest.raises(DataIntegrityError, match="64-bit"):

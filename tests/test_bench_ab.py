@@ -156,20 +156,31 @@ class TestLedger:
                            cwd=tmp_path, capture_output=True, check=True)
 
         git("init", "-q")
-        (tmp_path / "a.py").write_text("x = 1\n")
-        git("add", "a.py")
+        (tmp_path / "src").mkdir()
+        for name in ("src/a.py", "README.md"):
+            (tmp_path / name).write_text("x = 1\n")
+        git("add", "src/a.py", "README.md")
         git("commit", "-q", "-m", "a")
         clean = bench_ab.checkout_identity(str(tmp_path))
         assert len(clean["head"]) == 40 and not clean["dirty"] and clean["diff_sha256"] is None
-        (tmp_path / "a.py").write_text("x = 2\n")
+        (tmp_path / "README.md").write_text("edited\n")  # not run by the benchmark
+        assert bench_ab.checkout_identity(str(tmp_path)) == clean
+        (tmp_path / "src/a.py").write_text("x = 2\n")
         edited = bench_ab.checkout_identity(str(tmp_path))
-        (tmp_path / "a.py").write_text("x = 3\n")
+        (tmp_path / "README.md").write_text("edited again\n")
+        assert bench_ab.checkout_identity(str(tmp_path)) == edited
+        (tmp_path / "src/a.py").write_text("x = 3\n")
         other = bench_ab.checkout_identity(str(tmp_path))
         assert edited["head"] == other["head"] == clean["head"] and edited["dirty"]
         assert len({edited["diff_sha256"], other["diff_sha256"]}) == 2
-        (tmp_path / "a.py").write_text("x = 1\n")
-        (tmp_path / "b.py").write_text("")
-        assert bench_ab.checkout_identity(str(tmp_path))["dirty"]
+        # an untracked file under src/ counts, by its name and bytes
+        (tmp_path / "src/a.py").write_text("x = 1\n")
+        untracked = []
+        for text in ("", "y = 1\n"):
+            (tmp_path / "src/b.py").write_text(text)
+            untracked.append(bench_ab.checkout_identity(str(tmp_path)))
+        assert all(u["dirty"] for u in untracked)
+        assert len({u["diff_sha256"] for u in untracked}) == 2
 
     def test_checkout_identity_needs_git(self, tmp_path):
         with pytest.raises(bench_ab.BenchError, match="git cannot describe"):

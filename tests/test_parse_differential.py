@@ -5,9 +5,11 @@ both must return equal records, field for field with the same types and
 bits, or raise the same error with the same message. Inputs never hold the
 characters at which the reference wrongly ended a line (\\x0b, \\x0c,
 \\x1c-\\x1e); the tests of that fix are in test_ame.py. One line of the
-reference differs from the parser it was: it hands `bad_field` the fields
+reference differs from the parser it was: it hands `read_fields` the fields
 stripped of only what int() and float() skip, not of all that str.strip()
 takes for whitespace, so that a \\x1f in a field is named as that field.
+The error path names a field through `read_fields`, as the parser does, so
+its energy kind rejects a non-finite total through `ame.energy`.
 """
 
 import math
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nucaug import ame
-from nucaug.ame import _FIELD_NAMES, LAYOUTS, NuclideRecord, bad_field
+from nucaug.ame import _FIELD_NAMES, LAYOUTS, NuclideRecord, read_fields
 from nucaug.errors import DataIntegrityError, MassTableParseError
 
 
@@ -60,12 +62,11 @@ def reference_parse(content, edition):
                 a = 0
 
             def energy(text):
-                return float(text.replace("#", ".")) * a / 1000.0
+                return ame.energy(float(text.replace("#", ".")) * a / 1000.0)
 
             fields = [line[c0:c1].strip(string.whitespace)
                       for c0, c1 in ((n0, n1), (z0, z1), (a0, a1), (b0, b1), (e0, e1))]
-            raise bad_field(line_no, _FIELD_NAMES, (int, int, int, energy, energy),
-                            fields) from None
+            read_fields(line_no, _FIELD_NAMES, (int, int, int, energy, energy), fields)
         append(NuclideRecord(z, n, a, be_total, be_err, "#" in bea or "#" in bea_err))
     return records
 
