@@ -172,13 +172,14 @@ def parse_mass_table(content: str | bytes, edition: str) -> list[NuclideRecord]:
                                 for field in fields[3:])
         if not (np.isfinite(be_total).all() and np.isfinite(be_err).all()):
             raise ValueError("a non-finite energy")
+        # __new__ itself, with every check, but without type.__call__'s own cost;
+        # its DataIntegrityError is a ValueError, which the line scan frames
+        return list(map(NuclideRecord.__new__, repeat(NuclideRecord), z, n, a,
+                        be_total.tolist(), be_err.tolist(), estimated))
     except ValueError:
         _raise_first_bad_line(content, layout)
         raise AssertionError("the line scan accepts every line of a table that the "
                              "column pass rejects") from None
-    # __new__ itself, with every check, but without type.__call__'s own cost
-    return list(map(NuclideRecord.__new__, repeat(NuclideRecord), z, n, a,
-                    be_total.tolist(), be_err.tolist(), estimated))
 
 
 def _record_table(content: bytes, layout: MassTableLayout) -> np.ndarray:
@@ -218,7 +219,10 @@ def _raise_first_bad_line(content: bytes, layout: MassTableLayout) -> None:
             return energy(float(text.replace("#", ".")) * a / 1000.0)
 
         be_total, be_err = read_fields(line_no, _FIELD_NAMES[3:], (bea, bea), fields[3:])
-        NuclideRecord(z, n, a, be_total, be_err, False)  # A != Z + N, a negative energy
+        try:
+            NuclideRecord(z, n, a, be_total, be_err, False)  # A != Z + N, a negative energy
+        except DataIntegrityError as exc:
+            raise MassTableParseError(line_no, str(exc)) from None
 
 
 Z_N_MIN = 8  # the smallest Z and N of the study's nuclei

@@ -117,7 +117,6 @@ def _load_training_rows(path) -> augment.AugmentedTrainingSet:
 
 
 def cmd_train(args) -> int:
-    train_set = _load_training_rows(args.train_csv)
     try:
         widths = network.parse_arch(args.arch)
     except ValueError:
@@ -125,11 +124,10 @@ def cmd_train(args) -> int:
             f"bad --arch {args.arch!r}; expected hyphenated widths like 32-16-8"
         ) from None
     spec = network.NetworkSpec(hidden_widths=widths, activation=args.activation)
-    cfg = network.TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                              init_seed=args.seed, shuffle_seed=args.seed)
+    cfg = network.TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed)
     opt = OptimizerConfig(algorithm=args.optimizer, learning_rate=args.lr,
                           beta1=args.beta1, beta2=args.beta2)
-    model = network.train(spec, train_set, cfg, opt)
+    model = network.train(spec, _load_training_rows(args.train_csv), cfg, opt)
     network.save_model(model, args.out)
     print(f"final train MSE: {model.loss_history[-1]:.6f} MeV^2")
     print(f"wrote {args.out}")

@@ -85,8 +85,7 @@ class TrialSpec:
 
     @property
     def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                           init_seed=self.seed, shuffle_seed=self.seed)
+        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
 
     @property
     def arch_label(self) -> str:

@@ -92,9 +92,9 @@ class NetworkParams:
             off += fo
 
 
-def init_network(spec: NetworkSpec, init_seed: int) -> NetworkParams:
-    """Glorot-normal weights, zero biases, deterministic under init_seed."""
-    rng = np.random.default_rng(init_seed)
+def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
+    """Glorot-normal weights, zero biases, deterministic under seed."""
+    rng = np.random.default_rng(seed)
     params = NetworkParams(spec, np.zeros(param_count(spec)))
     for W in params.weights:
         fi, fo = W.shape
@@ -190,10 +190,10 @@ def _forward_backward(params: NetworkParams, grad: NetworkParams,
     return loss
 
 
-def check_training(epochs: int, batch_size: int, *seeds: int) -> None:
-    """Raise ConfigurationError unless epochs and batch_size are >= 1 and each seed >= 0."""
+def check_training(epochs: int, batch_size: int, seed: int) -> None:
+    """Raise ConfigurationError unless epochs and batch_size are >= 1 and seed >= 0."""
     for name, value, low in (("epochs", epochs, 1), ("batch_size", batch_size, 1),
-                             *(("seed", seed, 0) for seed in seeds)):
+                             ("seed", seed, 0)):
         if value < low:
             raise ConfigurationError(f"{name} must be >= {low}, got {value}")
 
@@ -202,11 +202,10 @@ def check_training(epochs: int, batch_size: int, *seeds: int) -> None:
 class TrainConfig:
     epochs: int
     batch_size: int
-    init_seed: int = 0
-    shuffle_seed: int = 0
+    seed: int = 0  # of the initial weights and, from its own generator, the shuffle
 
     def __post_init__(self):
-        check_training(self.epochs, self.batch_size, self.init_seed, self.shuffle_seed)
+        check_training(self.epochs, self.batch_size, self.seed)
 
 
 @dataclass
@@ -228,7 +227,7 @@ class TrainedModel:
 @np.errstate(over="ignore", invalid="ignore")
 def train(spec: NetworkSpec, train_set: AugmentedTrainingSet,
           config: TrainConfig, opt: OptimizerConfig) -> TrainedModel:
-    """Mini-batch training; fully deterministic given data, seeds and configs.
+    """Mini-batch training; fully deterministic given data, seed and configs.
 
     Inputs (Z, A) and targets are z-scored with the mean/std of the
     ORIGINAL (pre-augmentation) rows only, and those statistics travel with
@@ -257,11 +256,11 @@ def train(spec: NetworkSpec, train_set: AugmentedTrainingSet,
     t_std = float(y[orig].std()) or 1.0
     ys_all = (y - t_mean) / t_std
 
-    params = init_network(spec, config.init_seed)
+    params = init_network(spec, config.seed)
     grad_flat = np.empty_like(params.flat)
     grad = NetworkParams(spec, grad_flat)
     state = init_state(opt, params.flat.size)
-    shuffle_rng = np.random.default_rng(config.shuffle_seed)
+    shuffle_rng = np.random.default_rng(config.seed)
 
     n = len(rows)
     bs = config.batch_size
@@ -276,7 +275,7 @@ def train(spec: NetworkSpec, train_set: AugmentedTrainingSet,
             yb = ye[start:start + bs]
             loss = _forward_backward(params, grad, xb, yb)
             total += loss * len(yb)
-            optimizer_step(state, opt, params.flat, grad_flat)
+            optimizer_step(state, params.flat, grad_flat)
         epoch_loss = total / n * (t_std * t_std)  # back to MeV^2
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(

@@ -17,6 +17,7 @@ denominator so a zero-gradient start is well defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,39 +45,34 @@ class OptimizerConfig:
 
     def __post_init__(self):
         check_algorithm(self.algorithm)
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("learning_rate", "epsilon"):
+            val = getattr(self, name)
+            if not 0.0 < val < math.inf:  # false for nan
+                raise ConfigurationError(f"{name} must be a finite number > 0, got {val}")
         for name in ("beta1", "beta2", "rmsprop_decay"):
             val = getattr(self, name)
             if not 0.0 <= val < 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1), got {val}")
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass
 class OptimizerState:
-    algorithm: str
+    config: OptimizerConfig
     step: int
     m: np.ndarray | None  # first moment; None for rmsprop
     v: np.ndarray         # second moment / infinity norm (adamax)
 
 
-def init_state(config: OptimizerConfig, n_params: int) -> OptimizerState:
+def init_state(config: OptimizerConfig, n_params: int | tuple[int, ...]) -> OptimizerState:
+    """Zero moments for n_params parameters, or for an array of that shape."""
     m = None if config.algorithm == "rmsprop" else np.zeros(n_params)
-    return OptimizerState(algorithm=config.algorithm, step=0, m=m,
-                          v=np.zeros(n_params))
+    return OptimizerState(config=config, step=0, m=m, v=np.zeros(n_params))
 
 
-def optimizer_step(state: OptimizerState, config: OptimizerConfig,
-                   params: np.ndarray, grad: np.ndarray):
-    """Apply one update in place; returns the (mutated) state and params."""
-    if state.algorithm != config.algorithm:
-        raise ConfigurationError(
-            f"state built for {state.algorithm!r}, config says {config.algorithm!r}")
-    if state.v.shape != params.shape or grad.shape != params.shape:
-        raise ConfigurationError("state/gradient shapes do not match params")
-
+def optimizer_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray) -> None:
+    """Apply one update of state.config's rule to params, in place,
+    elementwise over arrays of the shape the state was built for."""
+    config = state.config
     lr, b1, b2, eps = (config.learning_rate, config.beta1,
                        config.beta2, config.epsilon)
     state.step += 1
@@ -88,7 +84,7 @@ def optimizer_step(state: OptimizerState, config: OptimizerConfig,
         v *= rho
         v += (1.0 - rho) * grad * grad
         params -= lr * grad / (np.sqrt(v) + eps)
-        return state, params
+        return
 
     m *= b1
     m += (1.0 - b1) * grad
@@ -97,7 +93,7 @@ def optimizer_step(state: OptimizerState, config: OptimizerConfig,
     if config.algorithm == "adamax":
         np.maximum(b2 * v, np.abs(grad), out=v)
         params -= (lr / bc1) * m / (v + eps)
-        return state, params
+        return
 
     v *= b2
     v += (1.0 - b2) * grad * grad
@@ -106,4 +102,3 @@ def optimizer_step(state: OptimizerState, config: OptimizerConfig,
         params -= lr * (m / bc1) / denom
     else:  # nadam
         params -= lr * (b1 * (m / bc1) + (1.0 - b1) / bc1 * grad) / denom
-    return state, params

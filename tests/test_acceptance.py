@@ -140,7 +140,7 @@ class TestCriterion6OptimizerOracles:
                                      rmsprop_decay=rho)
             params = np.array([theta])
             state = init_state(config, 1)
-            optimizer_step(state, config, params, np.array([g]))
+            optimizer_step(state, params, np.array([g]))
             errors[algorithm] = abs(params[0] - expected)
         worst = max(errors.values())
         report(6, worst < 1e-12, f"one-step errors {errors}")

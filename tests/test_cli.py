@@ -96,6 +96,18 @@ class TestIngest:
         assert code == cli.EXIT_DATA
         assert "data error" in err
 
+    def test_record_rule_fault_names_its_line(self, tmp_path, capsys):
+        lines = Path(MASS16).read_bytes().split(b"\n")
+        record = lines[41]  # line 42, the first record: Z=1 N=2 A=3
+        lines[41] = record[:14] + b"4".rjust(5) + record[19:]
+        table = tmp_path / "mass16.txt"
+        table.write_bytes(b"\n".join(lines))
+        out_csv = tmp_path / "ame2016.csv"
+        assert run(["ingest", str(table), "--edition", "AME2016", "--out-csv", str(out_csv)],
+                   capsys) == (cli.EXIT_DATA, "",
+                               "data error: line 42: A != Z + N for Z=1 N=2 A=4\n")
+        assert not out_csv.exists()
+
 
 class TestAugment:
     def test_gaussian(self, records_csv, tmp_path, capsys):
@@ -226,6 +238,14 @@ class TestTrainEvaluate:
                             "--out", str(tmp_path / "m.npz")], capsys)
         assert (code, err) == (cli.EXIT_USAGE, "error: seed must be >= 0, got -1\n")
         assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_usage_error(self, lr, tmp_path, capsys):
+        # no training CSV: the setting is rejected before a table is read
+        assert run(["train", str(tmp_path / "absent.csv"), "--arch", "4", "--epochs", "1",
+                    "--batch", "8", "--lr", lr, "--out", str(tmp_path / "m.npz")], capsys) == (
+            cli.EXIT_USAGE, "", f"error: learning_rate must be a finite number > 0, got {lr}\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("energies, options, message", [
         # spread past float64 once squared
@@ -536,8 +556,12 @@ class TestSweepConfig:
         assert not list((tmp_path / "out").glob("trials/*.json"))
 
     @pytest.mark.parametrize("line, message", [
-        ("learning_rate = 0", "learning_rate must be > 0, got 0.0"),
-        ("epsilon = -1e-8", "epsilon must be > 0, got -1e-08"),
+        ("learning_rate = 0", "learning_rate must be a finite number > 0, got 0.0"),
+        ("learning_rate = nan", "learning_rate must be a finite number > 0, got nan"),
+        ("learning_rate = inf", "learning_rate must be a finite number > 0, got inf"),
+        ("epsilon = -1e-8", "epsilon must be a finite number > 0, got -1e-08"),
+        ("epsilon = nan", "epsilon must be a finite number > 0, got nan"),
+        ("epsilon = inf", "epsilon must be a finite number > 0, got inf"),
         ("beta2 = 1", "beta2 must be in [0, 1), got 1.0"),
         ("algorithm = sgd", "optimizer must be one of adam, nadam, adamax, rmsprop, got 'sgd'"),
     ])

@@ -137,8 +137,7 @@ class TestTrialSpec:
     def test_network_and_train_config(self):
         spec = toy_spec(activation="tanh", seed=3, epochs=7, batch_size=5)
         assert spec.network == NetworkSpec(hidden_widths=(6, 4), activation="tanh")
-        assert spec.train_config == TrainConfig(epochs=7, batch_size=5, init_seed=3,
-                                                shuffle_seed=3)
+        assert spec.train_config == TrainConfig(epochs=7, batch_size=5, seed=3)
 
     def test_cache_key_sensitivity(self):
         base = toy_spec().cache_key("tag")

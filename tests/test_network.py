@@ -192,7 +192,7 @@ class TestTraining:
 
     def test_deterministic(self):
         spec = NetworkSpec((8, 8))
-        cfg = TrainConfig(epochs=30, batch_size=16, init_seed=1, shuffle_seed=1)
+        cfg = TrainConfig(epochs=30, batch_size=16, seed=1)
         opt = OptimizerConfig()
         m1 = train(spec, self.small_set(), cfg, opt)
         m2 = train(spec, self.small_set(), cfg, opt)
@@ -203,9 +203,9 @@ class TestTraining:
         spec = NetworkSpec((8, 8))
         opt = OptimizerConfig()
         m1 = train(spec, self.small_set(),
-                   TrainConfig(epochs=10, batch_size=16, init_seed=1), opt)
+                   TrainConfig(epochs=10, batch_size=16, seed=1), opt)
         m2 = train(spec, self.small_set(),
-                   TrainConfig(epochs=10, batch_size=16, init_seed=2), opt)
+                   TrainConfig(epochs=10, batch_size=16, seed=2), opt)
         assert not np.array_equal(m1.params.flat, m2.params.flat)
 
     def test_one_call_per_batch_through_module_attributes(self, monkeypatch):
@@ -280,9 +280,7 @@ class TestTraining:
         with pytest.raises(ConfigurationError, match="^batch_size must be >= 1, got 0$"):
             TrainConfig(epochs=1, batch_size=0)
         with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
-            TrainConfig(epochs=1, batch_size=4, init_seed=-1)
-        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
-            TrainConfig(epochs=1, batch_size=4, shuffle_seed=-1)
+            TrainConfig(epochs=1, batch_size=4, seed=-1)
 
 
 class TestModelIO:

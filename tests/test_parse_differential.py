@@ -9,7 +9,11 @@ reference differs from the parser it was: it hands `read_fields` the fields
 stripped of only what int() and float() skip, not of all that str.strip()
 takes for whitespace, so that a \\x1f in a field is named as that field.
 The error path names a field through `read_fields`, as the parser does, so
-its energy kind rejects a non-finite total through `ame.energy`.
+its energy kind rejects a non-finite total through `ame.energy`. And the
+reference frames the record's own error: a line that breaks the record rule
+(A != Z + N, a negative energy) is a MassTableParseError that names the
+line, as every other bad line is, where the per-line parser let the
+record's DataIntegrityError out without one.
 """
 
 import math
@@ -67,7 +71,10 @@ def reference_parse(content, edition):
             fields = [line[c0:c1].strip(string.whitespace)
                       for c0, c1 in ((n0, n1), (z0, z1), (a0, a1), (b0, b1), (e0, e1))]
             read_fields(line_no, _FIELD_NAMES, (int, int, int, energy, energy), fields)
-        append(NuclideRecord(z, n, a, be_total, be_err, "#" in bea or "#" in bea_err))
+        try:
+            append(NuclideRecord(z, n, a, be_total, be_err, "#" in bea or "#" in bea_err))
+        except DataIntegrityError as exc:
+            raise MassTableParseError(line_no, str(exc)) from None
     return records
 
 
@@ -192,14 +199,15 @@ class TestAgainstReference:
     @pytest.mark.parametrize("edition", sorted(LAYOUTS))
     def test_record_error_before_a_bad_field(self, real_lines, edition):
         # A != Z + N on one line, an unreadable field on a later one: the
-        # earlier line's DataIntegrityError, as the per-line parser raised it
+        # earlier line's record error, framed with its line number
         header, records = real_lines[edition]
         n0, n1 = LAYOUTS[edition].col_n
         mismatch = records[1][:n0] + b"99".rjust(n1 - n0) + records[1][n1:]
         bad = records[2][:n0] + b"x".rjust(n1 - n0) + records[2][n1:]
         error, message = assert_same(b"\n".join(header + [records[0], mismatch, bad]),
                                      edition)
-        assert error is DataIntegrityError and "A != Z + N" in message
+        assert error is MassTableParseError
+        assert message.startswith(f"line {len(header) + 2}: A != Z + N for ")
 
     @pytest.mark.parametrize("content", [b"", b"\n" * 50, b"x\n" * 39 + b"\n \n\t\n"])
     def test_no_records(self, content):
