@@ -181,15 +181,21 @@ TECHNIQUES = ("none", "error", "gaussian")
 
 def check_level(technique: str, k: int, noise_seed: int | None) -> None:
     """Raise ConfigurationError unless this is a level: gaussian takes an int k >= 1
-    and an int noise seed >= 0; none and error take k = 0 and None or an int >= 0."""
+    and an int noise seed >= 0; none and error take k = 0 and None or an int >= 0.
+    A _stream key bounds the noise seed to 64 bits and gaussian's k to 32."""
     if technique not in TECHNIQUES:
         raise ConfigurationError(f"unknown augmentation technique {technique!r}")
     gaussian = technique == "gaussian"
     if type(k) is not int or (k < 1 if gaussian else k != 0):
         raise ConfigurationError(
             f"{technique} takes k {'>= 1' if gaussian else '= 0'}, got k={k!r}")
+    if k > 2**32 - 1:
+        raise ConfigurationError(f"gaussian takes k <= {2**32 - 1}, got k={k}")
     if not (type(noise_seed) is int and noise_seed >= 0 or noise_seed is None and not gaussian):
         raise ConfigurationError(f"noise_seed must be an integer >= 0, got {noise_seed!r}")
+    if noise_seed is not None and noise_seed > 2**64 - 1:
+        raise ConfigurationError(
+            f"noise_seed must be an integer <= {2**64 - 1}, got {noise_seed}")
 
 
 def level_label(technique: str, k: int) -> str:

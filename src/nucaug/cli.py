@@ -376,6 +376,10 @@ def main(argv=None) -> int:
             TrainingDivergedError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        detail = str(exc) and f": {exc}"
+        print(f"data error: out of memory{detail}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

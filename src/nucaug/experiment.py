@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import augment
+from . import __version__, augment
 from .ame import DatasetSplit, NuclideRecord, read_csv, write_csv
 from .errors import ConfigurationError, TrainingDivergedError
 from .network import (NetworkSpec, TrainConfig, TrainedModel, arch_label, check_network,
@@ -381,7 +381,6 @@ def write_manifest(path, *, split: DatasetSplit, extrapolation, seeds, levels,
                    noise_seed: int, input_standardize: bool = True,  # kept for perfbench
                    ame_checksums: dict | None = None) -> None:
     """Everything needed to re-run any trial of the sweep bit-exactly."""
-    from . import __version__
     manifest = {
         "software_version": __version__,
         "split_seed": split.split_seed,

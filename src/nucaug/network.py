@@ -63,10 +63,6 @@ class NetworkSpec:
         widths = (2, *self.hidden_widths, 1)  # (Z, A) -> one energy
         return list(zip(widths[:-1], widths[1:]))
 
-    @property
-    def arch_label(self) -> str:
-        return arch_label(self.hidden_widths)
-
 
 def param_count(spec: NetworkSpec) -> int:
     """Total scalar parameters: sum over layers of (fan_in + 1) * fan_out."""

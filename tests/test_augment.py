@@ -201,7 +201,8 @@ class TestLevels:
 
     @pytest.mark.parametrize("technique, k, noise_seed", [
         ("none", 0, None), ("none", 0, 0), ("none", 0, 7), ("error", 0, None),
-        ("error", 0, 3), ("gaussian", 1, 0), ("gaussian", 5, 2**40)])
+        ("error", 0, 3), ("gaussian", 1, 0), ("gaussian", 5, 2**40),
+        ("none", 0, 2**64 - 1), ("gaussian", 2**32 - 1, 2**64 - 1)])
     def test_valid_levels(self, technique, k, noise_seed):
         augment.check_level(technique, k, noise_seed)
 
@@ -214,6 +215,9 @@ class TestLevels:
         ("gaussian", True, 0, "gaussian takes k >= 1, got k=True"),
         ("none", "0", 0, "none takes k = 0, got k='0'"),
         ("none", False, 0, "none takes k = 0, got k=False"),
+        ("gaussian", 2**32, 0, "gaussian takes k <= 4294967295, got k=4294967296"),
+        ("none", 0, 2**64,
+         "noise_seed must be an integer <= 18446744073709551615, got 18446744073709551616"),
         (None, 0, 0, "unknown augmentation technique None"),
         (["none"], 0, 0, "unknown augmentation technique ['none']"),
     ])

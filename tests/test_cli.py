@@ -142,6 +142,28 @@ class TestAugment:
             cli.EXIT_USAGE, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == [Path(records_csv)]
 
+    def test_noise_seed_outside_the_philox_key(self, records_csv, tmp_path, capsys):
+        out = tmp_path / "aug.csv"
+        assert run(["augment", records_csv, "--technique", "gaussian", "--k", "2",
+                    "--noise-seed", "18446744073709551616", "--out", str(out)], capsys) == (
+            cli.EXIT_USAGE, "",
+            "error: noise_seed must be an integer <= 18446744073709551615, "
+            "got 18446744073709551616\n")
+        assert list(tmp_path.iterdir()) == [Path(records_csv)]
+
+    def test_out_of_memory_is_data_error(self, records_csv, tmp_path, capsys, monkeypatch):
+        # numpy's MemoryError, without allocating the array
+        message = "Unable to allocate 215. GiB for an array with shape (3000001, 2408)"
+
+        def apply(*args):
+            raise MemoryError(message)
+        monkeypatch.setattr(augment, "apply", apply)
+        out = tmp_path / "aug.csv"
+        assert run(["augment", records_csv, "--technique", "gaussian", "--k", "3000000",
+                    "--out", str(out)], capsys) == (
+            cli.EXIT_DATA, "", f"data error: out of memory: {message}\n")
+        assert list(tmp_path.iterdir()) == [Path(records_csv)]
+
 
 class TestTrainEvaluate:
     def test_round_trip(self, records_csv, tmp_path, capsys):
@@ -545,6 +567,8 @@ class TestSweepConfig:
         ("levels = none gaussian1", "levels = none gaussian1 none"),
         ("architectures = 6-4:25:64", "architectures = 6-4:25:64 6-4:30:32"),
         ("architectures = 6-4:25:64", "architectures = 0:25:64"),
+        ("seeds = 0 1", "seeds = 0 1\nnoise_seed = 18446744073709551616"),
+        ("levels = none gaussian1", "levels = gaussian4294967296"),
     ])
     def test_bad_config_is_one_line_usage_error(self, old, new, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
@@ -788,6 +812,8 @@ class TestStrictResultsCsv:
          "line 2: error takes k = 0, got k=-1"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',gaussian,0,')}\n",
          "line 2: gaussian takes k >= 1, got k=0"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',none,0,', ',gaussian,4294967296,')}\n",
+         "line 2: gaussian takes k <= 4294967295, got k=4294967296"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',relu,0,', ',relu,-3,')}\n",
          "line 2: seed must be >= 0, got -3"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',3500,', ',0,')}\n",
@@ -813,7 +839,8 @@ class TestStrictResultsCsv:
     ], ids=["canonical", "empty", "short", "long", "k", "seed", "rms", "epochs",
             "inf_rms_then_epochs", "arch",
             "augmentation", "arch_width_0", "negative_rms", "negative_loss", "none_k3",
-            "error_k_negative", "gaussian_k0", "negative_seed", "epochs_0", "negative_batch",
+            "error_k_negative", "gaussian_k0", "gaussian_k_over", "negative_seed", "epochs_0",
+            "negative_batch",
             "optimizer", "activation", "status", "status_no_space", "ok_no_metrics",
             "ok_no_loss", "failed_with_metrics", "failed_with_loss"])
     @pytest.mark.parametrize("figure", ["table1", "table2", "fig4", "fig6"])
@@ -932,6 +959,11 @@ BAD_LEVELS = {
     "none_noise_seed_negative": ("none", 0, -1, "noise_seed must be an integer >= 0, got -1"),
     "gaussian_noise_seed_negative": ("gaussian", 1, -1,
                                      "noise_seed must be an integer >= 0, got -1"),
+    "gaussian_k_over_32_bits": ("gaussian", 2**32, 0,
+                                "gaussian takes k <= 4294967295, got k=4294967296"),
+    "gaussian_noise_seed_over_64_bits": (
+        "gaussian", 1, 2**64,
+        "noise_seed must be an integer <= 18446744073709551615, got 18446744073709551616"),
 }
 # every input that takes a level -> the bad levels it can express: `augment
 # --technique` has argparse choices, the results CSV records no noise seed,
@@ -942,7 +974,7 @@ LEVEL_INPUTS = {
     "augment": [level for level in BAD_LEVELS if level != "mixup"],
     "results_csv": [level for level in BAD_LEVELS if "noise_seed" not in level],
     "sidecar": list(BAD_LEVELS),
-    "fig2": ["gaussian_k0", "gaussian_noise_seed_negative"],
+    "fig2": [level for level in BAD_LEVELS if level.startswith("gaussian")],
 }
 
 
