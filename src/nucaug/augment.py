@@ -72,11 +72,6 @@ def _rows(z, a, energy, origin) -> np.ndarray:
     return rows
 
 
-def _originals(train: list[NuclideRecord]) -> np.ndarray:
-    z, _, a, be_total, _, _ = record_columns(train)
-    return _rows(z, a, be_total, ORIGIN_ORIGINAL)
-
-
 @dataclass(frozen=True)
 class AugmentedTrainingSet:
     rows: np.ndarray        # ROW_DTYPE
@@ -100,7 +95,8 @@ class AugmentedTrainingSet:
 
 def identity_set(train: list[NuclideRecord]) -> AugmentedTrainingSet:
     """The un-augmented training set (technique "none")."""
-    return AugmentedTrainingSet(rows=_originals(train), technique="none")
+    z, _, a, be_total, _, _ = record_columns(train)
+    return AugmentedTrainingSet(rows=_rows(z, a, be_total, ORIGIN_ORIGINAL), technique="none")
 
 
 def error_resample(train: list[NuclideRecord]) -> AugmentedTrainingSet:
@@ -111,8 +107,6 @@ def error_resample(train: list[NuclideRecord]) -> AugmentedTrainingSet:
     contribute only their original row, so the total row count is
     3*n - 2*z0 with z0 the number of zero-uncertainty records.
     """
-    if not train:
-        raise ConfigurationError("error_resample requires a nonempty training set")
     z, _, a, be_total, be_err, _ = record_columns(train)
     base = _rows(z, a, be_total, ORIGIN_ORIGINAL)
     err = np.array(be_err)
@@ -133,32 +127,20 @@ def _stream(noise_seed: int, resample_index: int, nucleus_index: int) -> np.rand
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def gaussian_draw(mu: float, sigma: float, rng: np.random.Generator) -> float:
-    """One draw from Normal(mu, sigma); sigma = 0 returns mu exactly.
-
-    Always consumes exactly one standard-normal deviate so stream positions
-    do not depend on sigma.
-    """
-    if sigma < 0:
-        raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
-    x = rng.standard_normal()
-    return mu + sigma * x
-
-
 def gaussian_resample(train: list[NuclideRecord], k: int,
                       noise_seed: int) -> AugmentedTrainingSet:
     """Append k cumulative passes of Gaussian draws after the original rows.
 
     Pass r of nucleus i draws from the stream keyed by (noise_seed, r, i), so
     the result for k-1 passes is exactly the prefix of the result for k
-    passes. Total rows: len(train) * (1 + k). Zero-uncertainty nuclei yield
-    exact duplicates of their measured value in every pass.
+    passes. Total rows: len(train) * (1 + k). Each cell draws one standard
+    normal deviate whatever its sigma, so a zero-uncertainty nucleus yields
+    its measured value exactly in every pass.
     """
     check_level("gaussian", k, noise_seed)
-    if not train:
-        raise ConfigurationError("gaussian_resample requires a nonempty training set")
+    z, _, a, be_total, be_err, _ = record_columns(train)
     n = len(train)
-    rows = np.tile(_originals(train), 1 + k)
+    rows = np.tile(_rows(z, a, be_total, ORIGIN_ORIGINAL), 1 + k)
     rows["origin"] = np.arange(1 + k).repeat(n)  # pass r's rows are gauss_<r>
     # One generator, re-keyed per cell: (r, i) only changes the key, and every
     # stream starts at counter 0 with an empty buffer. Gives the draws of a
@@ -168,10 +150,10 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
     key = start["state"]["key"]
     draws = []
     for r_idx in range(1, k + 1):
-        for i, rec in enumerate(train):
+        for i, (mu, sigma) in enumerate(zip(be_total, be_err)):
             key[1] = (r_idx << 32) | i
             rng.bit_generator.state = start
-            draws.append(gaussian_draw(rec.be_total, rec.be_err, rng))
+            draws.append(mu + sigma * rng.standard_normal())
     rows["energy"][n:] = draws
     return AugmentedTrainingSet(rows=rows, technique="gaussian", k=k, noise_seed=noise_seed)
 

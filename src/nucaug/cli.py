@@ -208,7 +208,6 @@ def _load_sweep_config(path):
 
 def cmd_sweep(args) -> int:
     data, split_cfg, sweep_cfg, opt = _load_sweep_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
 
     checksums, experimental = {}, {}
     for key in ("ame2016", "ame2020"):  # the config key is the edition, in lower case
@@ -256,23 +255,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _export_figures(results_csv, out_dir) -> list[str]:
+def _export_figures(results_csv, out_dir):
     """Write every figure CSV the results support; skip incomplete ones."""
     rows = experiment.read_results_csv(results_csv)
-    written = []
     for fig_id, build in report.FIGURES.items():
         try:
             header, data_rows = build(rows)
         except IncompleteDataError:
             continue
-        path = os.path.join(out_dir, f"{fig_id}.csv")
-        ame.write_csv(path, header, data_rows)
-        written.append(path)
-    return written
+        ame.write_csv(os.path.join(out_dir, f"{fig_id}.csv"), header, data_rows)
 
 
 def cmd_report(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     if args.figure == "fig2":
         if not (args.records and args.nuclide):
             raise ConfigurationError("fig2 needs --records and --nuclide Z,A")
@@ -292,6 +286,7 @@ def cmd_report(args) -> int:
             raise ConfigurationError(f"figure {args.figure!r} needs a results CSV")
         header, rows = report.FIGURES[args.figure](
             experiment.read_results_csv(args.results_csv))
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.figure}.csv")
     ame.write_csv(path, header, rows)
     print(f"wrote {path}")

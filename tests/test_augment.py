@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucaug import ame, augment, cli
+from nucaug import ame, augment, cli, network
 from nucaug.ame import NuclideRecord
 from nucaug.errors import ConfigurationError, DataIntegrityError, MassTableParseError
+from nucaug.optimizers import OptimizerConfig
 
 
 def rec(z, n, be, err, estimated=False):
@@ -60,10 +61,6 @@ class TestErrorResample:
         head = out.rows[:len(SAMPLE)]
         assert all(head["origin"] == augment.ORIGIN_ORIGINAL)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            augment.error_resample([])
-
 
 class TestGaussianResample:
     def test_size_law(self):
@@ -103,8 +100,8 @@ class TestGaussianResample:
         for i, record in enumerate(SAMPLE):
             for pass_idx in (1, 2):
                 stream = augment._stream(3, pass_idx, i)
-                direct[(record.z, record.a, pass_idx)] = augment.gaussian_draw(
-                    record.be_total, record.be_err, stream)
+                direct[(record.z, record.a, pass_idx)] = (
+                    record.be_total + record.be_err * stream.standard_normal())
         for pass_idx in (1, 2):
             for z, a, energy, origin in kept:
                 if origin == pass_idx:  # the code of gauss_<pass_idx>
@@ -118,9 +115,9 @@ class TestGaussianResample:
         train = split.train
         assert any(r.be_err == 0 for r in train)
         out = augment.gaussian_resample(train, 5, noise_seed)
-        expected = [augment.gaussian_draw(r.be_total, r.be_err,
-                                          augment._stream(noise_seed, pass_idx, i))
-                    for pass_idx in range(1, 6) for i, r in enumerate(train)]
+        expected = [
+            r.be_total + r.be_err * augment._stream(noise_seed, pass_idx, i).standard_normal()
+            for pass_idx in range(1, 6) for i, r in enumerate(train)]
         assert out.rows["energy"][len(train):].tobytes() == np.array(expected).tobytes()
 
     def test_draw_moments(self):
@@ -136,8 +133,8 @@ class TestGaussianResample:
             augment.gaussian_resample(SAMPLE, 0, 0)
         with pytest.raises(ConfigurationError):
             augment.gaussian_resample(SAMPLE, 1, -1)
-        with pytest.raises(ConfigurationError):
-            augment.gaussian_resample([], 1, 0)
+        with pytest.raises(ConfigurationError):  # the level is checked first
+            augment.gaussian_resample([], 0, 0)
 
     @given(k=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
            n=st.integers(1, 8))
@@ -160,6 +157,15 @@ class TestApply:
     def test_unknown_technique(self):
         with pytest.raises(ConfigurationError):
             augment.apply("mixup", 0, SAMPLE)
+
+    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0), ("gaussian", 5)])
+    def test_empty_set_at_every_level(self, technique, k):
+        # an empty training set is training's one fault, with one message
+        out = augment.apply(technique, k, [], noise_seed=3)
+        assert len(out.rows) == 0 and out.rows.dtype == augment.ROW_DTYPE
+        with pytest.raises(ConfigurationError, match="^training set is empty$"):
+            network.train(network.NetworkSpec(hidden_widths=(4,)), out,
+                          network.TrainConfig(epochs=1, batch_size=8), OptimizerConfig())
 
     @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0), ("gaussian", 1),
                                               ("gaussian", 5)])

@@ -373,7 +373,7 @@ class TestUnreadablePaths:
         # outputs
         ["ingest", MASS16, "--edition", "AME2016", "--out-csv", "{dir}"],
         ["augment", "{records}", "--technique", "error", "--out", "{dir}"],
-        ["report", "--figure", "fig2", "--records", "{records}", "--nuclide", "8,16",
+        ["report", "--figure", "fig2", "--records", "{records}", "--nuclide", "8,19",
          "--out", "{file}"],
         ["sweep", "--config", "{config}", "--out", "{file}"],
     ])
@@ -415,6 +415,24 @@ seeds = 0 1
 [optimizer]
 algorithm = adam
 """
+
+
+class TestRejectedCommandMakesNoDirectory:
+    """A command that fails before its first write leaves no output directory."""
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["report", "--figure", "fig2", "--records", "{records}", "--nuclide", "8,19",
+          "--noise-seed", "18446744073709551616", "--out", "{out}"], cli.EXIT_USAGE),
+        (["sweep", "--config", "{config}", "--out", "{out}"], cli.EXIT_DATA),
+    ], ids=["report_bad_noise_seed", "sweep_missing_table"])
+    def test_no_output_directory(self, argv, exit_code, records_csv, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_CONFIG.format(mass16=tmp_path / "missing.txt", mass20=MASS20))
+        out = tmp_path / "out"
+        argv = [arg.format(records=records_csv, config=config, out=out) for arg in argv]
+        code, _, err = run(argv, capsys)
+        assert code == exit_code and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.slow
