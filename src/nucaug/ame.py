@@ -309,8 +309,8 @@ def write_records_csv(records: Iterable[NuclideRecord], path) -> None:
 
 
 def read_csv(path, columns: list[str], kinds, rule) -> list:
-    """rule(fields, row) of each data row of a CSV file headed `columns`,
-    where `row` is the row's text and `fields` its values read by `kinds`.
+    """rule(fields) of each data row of a CSV file headed `columns`, where
+    `fields` are the row's values read by `kinds`.
 
     Blank lines are skipped. Another header, a row of another width, text
     the csv module cannot split, a field its kind rejects (read_fields) and
@@ -330,9 +330,8 @@ def read_csv(path, columns: list[str], kinds, rule) -> list:
                         continue
                     raise MassTableParseError(
                         reader.line_num, f"{len(row)} fields, expected {len(columns)}")
-                fields = read_fields(reader.line_num, columns, kinds, row)
                 try:
-                    out.append(rule(fields, row))
+                    out.append(rule(read_fields(reader.line_num, columns, kinds, row)))
                 except (ConfigurationError, DataIntegrityError) as exc:
                     raise MassTableParseError(reader.line_num, str(exc)) from None
         except csv.Error as exc:
@@ -402,4 +401,4 @@ def read_records_csv(path) -> list[NuclideRecord]:
     """Read a write_records_csv file (read_csv); a row that is not a
     NuclideRecord raises MassTableParseError naming the line."""
     return read_csv(path, CSV_COLUMNS, (int64, int, int64, energy, energy, flag),
-                    lambda fields, _: NuclideRecord(*fields))
+                    NuclideRecord._make)

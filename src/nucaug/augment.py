@@ -245,7 +245,7 @@ def write_augmented_csv(aug: AugmentedTrainingSet, source: list[NuclideRecord], 
 _AUGMENTED_CSV_KINDS = (int64, int, int64, energy, energy, choice({"0": False}), origin_code)
 
 
-def _augmented_row(fields: list, _) -> tuple:
+def _augmented_row(fields: list) -> tuple:
     z, n, a, row_energy, be_err, _, origin = fields
     NuclideRecord(z, n, a, 0.0, be_err, False)  # an err_minus energy may be below 0
     return z, a, row_energy, origin

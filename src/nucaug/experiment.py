@@ -55,13 +55,6 @@ def score(model: TrainedModel, records: list[NuclideRecord]) -> tuple[np.ndarray
     return pred, rms_error(pred, be_total)
 
 
-def pct_change(baseline: float, augmented: float) -> float:
-    """Percent improvement of `augmented` over `baseline` (negative = worse)."""
-    if baseline <= 0:
-        raise ConfigurationError(f"baseline must be > 0, got {baseline}")
-    return 100.0 * (baseline - augmented) / baseline
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     hidden_widths: tuple[int, ...]
@@ -232,24 +225,26 @@ def _metric(text: str) -> float | None:
 _RESULTS_KINDS = (parse_arch, str, int, str, str, int, _metric, _metric, _metric, int, int, str)
 
 
-def _results_row(fields: list, row: list[str]) -> dict:
+def _results_row(fields: list) -> dict:
     values = dict(zip(RESULTS_COLUMNS, fields))
     check_network(values["arch"], values["activation"])
     check_algorithm(values["optimizer"])
     check_training(values["epochs"], values["batch"], values["seed"])
     augment.check_level(values["augmentation"], values["k"], 0)  # no noise seed
     _check_outcome(values["status"], values)
-    return dict(zip(RESULTS_COLUMNS, row))
+    values["arch"] = arch_label(values["arch"])
+    return values
 
 
 def read_results_csv(path) -> list[dict]:
-    """Result rows, as dicts of their CSV text, from a ResultTable.write_csv
-    file (ame.read_csv). A wrong header, a short or long row, an arch that is
-    not hyphenated integers, a k, seed, epochs or batch that is not an
-    integer, a metric that is neither empty nor a number, or a row that
-    breaks the rules of its settings (check_network, check_algorithm,
-    check_training and augment.check_level, in that order) or of its outcome
-    (_check_outcome) raises MassTableParseError naming the line."""
+    """Result rows from a ResultTable.write_csv file (ame.read_csv), as dicts
+    of their checked values: ints for k, seed, epochs and batch, a float or
+    None (an empty field) for each metric, and the arch_label of the widths
+    read. A wrong header, a short or long row, a field not of its kind, or a
+    row that breaks the rules of its settings (check_network,
+    check_algorithm, check_training and augment.check_level, in that order)
+    or of its outcome (_check_outcome) raises MassTableParseError naming the
+    line."""
     return read_csv(path, RESULTS_COLUMNS, _RESULTS_KINDS, _results_row)
 
 

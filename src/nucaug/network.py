@@ -315,11 +315,12 @@ def load_model(path) -> TrainedModel:
                                  "expected 2 and 1".format(**meta))
             spec = NetworkSpec(hidden_widths=tuple(meta["hidden_widths"]),
                                activation=meta["activation"])
-            return TrainedModel(params=NetworkParams(spec, data["flat"].copy()),
-                                input_mean=data["input_mean"].copy(),
-                                input_std=data["input_std"].copy(),
-                                target_mean=float(data["target_stats"][0]),
-                                target_std=float(data["target_stats"][1]),
-                                loss_history=list(meta["loss_history"]))
+            stats = [data[name] for name in ("input_mean", "input_std", "target_stats")]
+            if not (all(x.dtype == np.float64 and x.shape == (2,) and np.isfinite(x).all()
+                        for x in stats) and min(*stats[1], stats[2][1]) > 0):
+                raise ValueError("input_mean, input_std and target_stats must each be 2 "
+                                 "finite float64 numbers, with each std > 0")
+            return TrainedModel(NetworkParams(spec, data["flat"].copy()), *stats[:2],
+                                *stats[2].tolist(), loss_history=list(meta["loss_history"]))
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataIntegrityError(f"{path} is not a model file: {exc}") from None

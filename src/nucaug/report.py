@@ -24,12 +24,11 @@ import numpy as np
 from . import augment
 from .ame import NuclideRecord
 from .errors import ConfigurationError, DataIntegrityError, IncompleteDataError
-from .experiment import pct_change
 from .network import NetworkSpec, param_count, parse_arch
 
-# figure id -> builder over results-CSV rows; fig2 takes a nuclide instead.
-# The lambdas look each function up when called, so a wrapper installed on a
-# module attribute (a profiler, a tracer) sees every export.
+# figure id -> builder over the rows experiment.read_results_csv returns; fig2
+# takes a nuclide instead. The lambdas look each function up when called, so a
+# wrapper installed on a module attribute (a profiler, a tracer) sees every export.
 FIGURES = {
     "table1": lambda rows: table_error_augmentation(rows),
     "table2": lambda rows: table_gaussian(rows, "rms_test_mev"),
@@ -50,7 +49,7 @@ TABLE_MAX_K = 5
 
 def _cell(row: dict) -> tuple[str, str, int]:
     """(arch, technique, k) of a row."""
-    return row["arch"], row["augmentation"], int(row["k"])
+    return row["arch"], row["augmentation"], row["k"]
 
 
 @np.errstate(over="ignore")
@@ -59,8 +58,8 @@ def _group_means(rows: list[dict], column: str, key=_cell) -> dict[tuple, float]
     failed row has none)."""
     acc = defaultdict(list)
     for row in rows:
-        if row[column]:
-            acc[key(row)].append(float(row[column]))
+        if row[column] is not None:
+            acc[key(row)].append(row[column])
     means = {cell: float(np.mean(vals)) for cell, vals in acc.items()}
     for cell, mean in means.items():
         if not np.isfinite(mean) and np.isfinite(acc[cell]).all():
@@ -80,6 +79,11 @@ def _one_setting(rows: list[dict]) -> None:
 
 def _archs_in(rows: list[dict]) -> list[str]:
     return list(dict.fromkeys(row["arch"] for row in rows))
+
+
+def pct_change(baseline: float, augmented: float) -> float:
+    """Percent improvement of `augmented` over `baseline` (negative = worse)."""
+    return 100.0 * (baseline - augmented) / baseline
 
 
 def table_error_augmentation(rows: list[dict]) -> tuple[list[str], list[list]]:
@@ -139,8 +143,8 @@ def per_seed_traces(rows: list[dict], column: str) -> tuple[list[str], list[list
     out = []
     for lvl in STABILITY_LEVELS:
         cell = (STABILITY_ARCH, *augment.parse_level(lvl))
-        cells = sorted((int(r["seed"]), float(r[column])) for r in rows
-                       if _cell(r) == cell and r[column])
+        cells = sorted((r["seed"], r[column]) for r in rows
+                       if _cell(r) == cell and r[column] is not None)
         if not cells:
             raise IncompleteDataError([(STABILITY_ARCH, lvl)])
         for seed, v in cells:

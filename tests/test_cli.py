@@ -248,6 +248,27 @@ class TestTrainEvaluate:
         assert run(["evaluate", str(model), records_csv], capsys) == (
             cli.EXIT_DATA, "", f"data error: {model} is not a model file: {message}\n")
 
+    @pytest.mark.parametrize("name, array", [
+        ("input_mean", np.zeros(3)),
+        ("target_stats", np.array([1.0])),
+        ("target_stats", np.array([])),
+        ("input_mean", np.array(["8", "16"])),
+        ("input_std", np.zeros(2)),
+    ], ids=["mean_of_3", "target_stats_of_1", "target_stats_empty", "mean_of_text",
+            "std_0"])
+    def test_evaluate_model_of_bad_arrays_is_data_error(self, name, array, records_csv,
+                                                        tmp_path, capsys):
+        model = tmp_path / "model.npz"
+        assert run(["train", records_csv, "--arch", "4", "--epochs", "1", "--batch", "8",
+                    "--out", str(model)], capsys)[0] == cli.EXIT_OK
+        with np.load(model) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez(model, **{**arrays, name: array})
+        assert run(["evaluate", str(model), records_csv], capsys) == (
+            cli.EXIT_DATA, "", f"data error: {model} is not a model file: input_mean, "
+            "input_std and target_stats must each be 2 finite float64 numbers, with each "
+            "std > 0\n")
+
     def test_bad_arch_usage_error(self, records_csv, tmp_path, capsys):
         code, _, _ = run(["train", records_csv, "--arch", "8-x", "--epochs",
                           "5", "--batch", "8",
@@ -488,10 +509,10 @@ class TestSweep:
         assert "completed 2 trials, 2 failed" in first.stdout
         results = (tmp_path / "out" / "results.csv").read_text()
         rows = experiment.read_results_csv(tmp_path / "out" / "results.csv")
-        assert [row["seed"] for row in rows] == ["0", "1"]
+        assert [row["seed"] for row in rows] == [0, 1]
         for row in rows:
             assert row["status"].startswith("failed: ")
-            assert row["rms_test_mev"] == row["rms_extrap_mev"] == row["final_train_loss"] == ""
+            assert row["rms_test_mev"] is row["rms_extrap_mev"] is row["final_train_loss"] is None
 
         def no_constant(name):
             raise ValueError(f"{name} is not JSON")
@@ -916,12 +937,29 @@ class TestStrictResultsCsv:
         path = tmp_path / "results.csv"
         path.write_text(f"{RESULTS_HEADER}\n\n{RESULTS_ROW}\n{failed}\n\n{no_extrap}\n")
         rows = experiment.read_results_csv(path)
+        settings = ["32-16-8", "none", 0, "adam", "relu"]
         assert [list(row.values()) for row in rows] == [
-            RESULTS_ROW.split(","), failed.split(","), no_extrap.split(",")]
+            [*settings, 0, 2.0, 2.5, 0.1, 3500, 64, "ok"],
+            [*settings, 1, None, None, None, 3500, 64, "failed: diverged"],
+            [*settings, 2, 2.0, None, 0.1, 3500, 64, "ok"]]
         code, _, _ = run(["report", str(path), "--figure", "table2",
                           "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_OK
         assert (tmp_path / "table2.csv").read_text().splitlines()[1] == "32-16-8,2.000,,,,,"
+
+    def test_integer_text_reads_in_canonical_form(self, tmp_path, capsys):
+        # an arch of 032-16-8 and an epochs of " 3500" name the trial that a
+        # sweep writes as 32-16-8 and 3500, so they group and print as it does
+        path = tmp_path / "results.csv"
+        path.write_text(f"{RESULTS_HEADER}\n"
+                        f"{RESULTS_ROW.replace('32-16-8', '032-16-8').replace(',3500,', ', 3500,')}"
+                        f"\n{ERROR_ROW}\n")
+        assert [(row["arch"], row["epochs"]) for row in experiment.read_results_csv(path)] == [
+            ("32-16-8", 3500), ("32-16-8", 3500)]
+        assert run(["report", str(path), "--figure", "table1",
+                    "--out", str(tmp_path)], capsys)[0] == cli.EXIT_OK
+        assert (tmp_path / "table1.csv").read_text().splitlines()[1:] == [
+            "32-16-8,769,3500,64,2.000,2.000,0.000"]
 
 
 class TestReport:

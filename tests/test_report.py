@@ -7,7 +7,8 @@ from nucaug.errors import ConfigurationError, DataIntegrityError, IncompleteData
 
 
 def result_rows():
-    """A small synthetic results table covering two architectures."""
+    """A small synthetic results table covering two architectures, as
+    experiment.read_results_csv returns its rows."""
     rows = []
     values = {
         ("32-32", "none", 0): 2.0, ("32-32", "none", 1): 2.4,
@@ -21,13 +22,21 @@ def result_rows():
         seed = third if technique in ("none", "error") else 0
         k = third if technique == "gaussian" else 0
         rows.append({
-            "arch": arch, "augmentation": technique, "k": str(k),
-            "optimizer": "adam", "activation": "relu", "seed": str(seed),
-            "rms_test_mev": repr(value), "rms_extrap_mev": repr(value + 0.5),
-            "final_train_loss": "0.1", "epochs": "3500", "batch": "64",
+            "arch": arch, "augmentation": technique, "k": k,
+            "optimizer": "adam", "activation": "relu", "seed": seed,
+            "rms_test_mev": value, "rms_extrap_mev": value + 0.5,
+            "final_train_loss": 0.1, "epochs": 3500, "batch": 64,
             "status": "ok",
         })
     return rows
+
+
+class TestPctChange:
+    def test_pct_change(self):
+        assert report.pct_change(2.0, 1.0) == pytest.approx(50.0)
+        assert report.pct_change(1.0, 1.5) == pytest.approx(-50.0)
+        # worked example: 1.903 -> 1.591 is a 16.395 % gain
+        assert report.pct_change(1.903, 1.591) == pytest.approx(16.395, abs=5e-4)
 
 
 class TestTables:
@@ -45,7 +54,7 @@ class TestTables:
         rows = result_rows()
         for row in rows:
             if (row["arch"], row["augmentation"]) == ("32-32", "none"):
-                row["rms_test_mev"] = "0.0"
+                row["rms_test_mev"] = 0.0
         with pytest.raises(DataIntegrityError,
                            match="^arch 32-32: baseline rms must be > 0, got 0.0$"):
             report.table_error_augmentation(rows)
@@ -90,7 +99,7 @@ class TestCurves:
             ("gaussian5", 0, 1.7)]
 
     def test_per_seed_traces_missing_level(self):
-        rows = [r for r in result_rows() if r["k"] != "5"]
+        rows = [r for r in result_rows() if r["k"] != 5]
         with pytest.raises(IncompleteDataError, match="32-16-8', 'gaussian5'"):
             report.per_seed_traces(rows, "rms_test_mev")
 
@@ -112,7 +121,7 @@ class TestComparisons:
         # level labels sort as text: gaussian2 and gaussian5 come before none
         rows = result_rows()
         rows = [{**r, setting: "b"} for r in rows] + [
-            {**r, setting: "a", "rms_test_mev": "1.0"} for r in rows]
+            {**r, setting: "a", "rms_test_mev": 1.0} for r in rows]
         header, out = builder(rows)
         assert header == [setting, "arch", "resamples", "mean_rms_mev"]
         assert out == [["a", "32-16-8", 2, "1.000"], ["a", "32-16-8", 5, "1.000"],
@@ -125,8 +134,8 @@ class TestComparisons:
 
     def test_failed_rows_ignored(self):
         rows = result_rows()
-        rows.append({**rows[6], "seed": "9", "rms_test_mev": "",
-                     "status": "failed: diverged"})
+        rows.append({**rows[6], "seed": 9, "rms_test_mev": None, "rms_extrap_mev": None,
+                     "final_train_loss": None, "status": "failed: diverged"})
         header, out = report.per_seed_traces(rows, "rms_test_mev")
         assert [r[:2] for r in out] == [["none", 0], ["none", 1], ["gaussian2", 0],
                                         ["gaussian5", 0]]

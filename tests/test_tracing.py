@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from nucaug import experiment, report
+from nucaug import ame, experiment, report
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
 
@@ -27,12 +27,15 @@ def test_tracer_sees_every_layer(tracing):
     assert tracing.Tracer().absent == {}
 
 
-def test_tracer_sees_every_figure_export(tracing):
+def test_tracer_sees_every_figure_export(tracing, tmp_path):
     # a figure routed past the traced builders would leave its time out of
     # the benchmark's report.export_s
-    rows = [dict(zip(experiment.RESULTS_COLUMNS, ["32-16-8", technique, str(k), "adam", "relu",
-                                                  "0", "2.0", "2.5", "0.1", "3500", "64", "ok"]))
-            for technique, k in (("none", 0), ("error", 0), ("gaussian", 2), ("gaussian", 5))]
+    path = tmp_path / "results.csv"
+    ame.write_csv(path, experiment.RESULTS_COLUMNS,
+                  [["32-16-8", technique, k, "adam", "relu", 0, 2.0, 2.5, 0.1, 3500, 64, "ok"]
+                   for technique, k in (("none", 0), ("error", 0), ("gaussian", 2),
+                                        ("gaussian", 5))])
+    rows = experiment.read_results_csv(path)
     tracer = tracing.Tracer()
     tracer.begin_unit()
     try:
