@@ -17,7 +17,7 @@ class DataIntegrityError(ValueError):
     """Input data violates an integrity requirement (e.g. duplicate nuclides)."""
 
 
-class IncompleteDataError(KeyError):
+class IncompleteDataError(LookupError):
     """A result table is missing cells required for an aggregation."""
 
     def __init__(self, missing):

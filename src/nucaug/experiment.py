@@ -57,32 +57,23 @@ def score(model: TrainedModel, records: list[NuclideRecord]) -> tuple[np.ndarray
 
 @dataclass(frozen=True)
 class TrialSpec:
-    hidden_widths: tuple[int, ...]
-    activation: str
+    network: NetworkSpec
+    train_config: TrainConfig
+    optimizer: OptimizerConfig
     technique: str            # "none", "error" or "gaussian"
     k: int                    # gaussian resample count (0 otherwise)
-    seed: int                 # drives both init and shuffle seeds
-    optimizer: OptimizerConfig
-    epochs: int
-    batch_size: int
     noise_seed: int = 0
 
     def __post_init__(self):
-        # reject what run_trial would reject, before any trial of a sweep trains
-        self.network, self.train_config
         augment.check_level(self.technique, self.k, self.noise_seed)
 
     @property
-    def network(self) -> NetworkSpec:
-        return NetworkSpec(hidden_widths=self.hidden_widths, activation=self.activation)
-
-    @property
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
+    def seed(self) -> int:
+        return self.train_config.seed
 
     @property
     def arch_label(self) -> str:
-        return arch_label(self.hidden_widths)
+        return arch_label(self.network.hidden_widths)
 
     @property
     def level_label(self) -> str:
@@ -93,12 +84,12 @@ class TrialSpec:
         # none and error draw nothing, so they are keyed "noise=0" whatever
         # their noise seed. Both keep the keys of already cached trials.
         noise = self.noise_seed if self.technique == "gaussian" else 0
-        parts = (f"arch={self.arch_label};act={self.activation};"
-                 f"aug={self.technique};k={self.k};seed={self.seed};"
-                 f"opt={self.optimizer.algorithm};lr={self.optimizer.learning_rate!r};"
-                 f"b1={self.optimizer.beta1!r};b2={self.optimizer.beta2!r};"
-                 f"eps={self.optimizer.epsilon!r};rho={self.optimizer.rmsprop_decay!r};"
-                 f"epochs={self.epochs};batch={self.batch_size};"
+        opt, cfg = self.optimizer, self.train_config
+        parts = (f"arch={self.arch_label};act={self.network.activation};"
+                 f"aug={self.technique};k={self.k};seed={cfg.seed};"
+                 f"opt={opt.algorithm};lr={opt.learning_rate!r};b1={opt.beta1!r};"
+                 f"b2={opt.beta2!r};eps={opt.epsilon!r};rho={opt.rmsprop_decay!r};"
+                 f"epochs={cfg.epochs};batch={cfg.batch_size};"
                  f"noise={noise};std=True;tstd=True;data={data_tag}")
         return hashlib.sha256(parts.encode()).hexdigest()[:32]
 
@@ -162,11 +153,11 @@ RESULTS_COLUMNS = ["arch", "augmentation", "k", "optimizer", "activation", "seed
 
 
 def result_row(res: TrialResult) -> list:
-    s = res.spec
+    s, cfg = res.spec, res.spec.train_config
     metrics = (getattr(res, field) for field in _METRICS)
-    return [s.arch_label, s.technique, s.k, s.optimizer.algorithm, s.activation,
-            s.seed, *("" if v is None else repr(v) for v in metrics),
-            s.epochs, s.batch_size, res.status]
+    return [s.arch_label, s.technique, s.k, s.optimizer.algorithm, s.network.activation,
+            cfg.seed, *("" if v is None else repr(v) for v in metrics),
+            cfg.epochs, cfg.batch_size, res.status]
 
 
 def _leak_check(aug_set: augment.AugmentedTrainingSet,
@@ -315,12 +306,11 @@ def build_trial_specs(architectures, levels, seeds, optimizer: OptimizerConfig,
             raise ConfigurationError(f"the sweep's {axis} repeat {repeated[0]}")
     specs = []
     for widths, epochs, batch in architectures:
+        network = NetworkSpec(tuple(widths), activation)
+        configs = [TrainConfig(epochs, batch, seed) for seed in seeds]
         for technique, k in levels:
-            for seed in seeds:
-                specs.append(TrialSpec(
-                    hidden_widths=tuple(widths), activation=activation,
-                    technique=technique, k=k, seed=seed, optimizer=optimizer,
-                    epochs=epochs, batch_size=batch, noise_seed=noise_seed))
+            specs.extend(TrialSpec(network, config, optimizer, technique, k, noise_seed)
+                         for config in configs)
     return specs
 
 

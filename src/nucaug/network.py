@@ -41,10 +41,10 @@ def parse_arch(text: str) -> tuple[int, ...]:
 
 
 def check_network(hidden_widths: tuple[int, ...], activation: str) -> None:
-    """Raise ConfigurationError unless there is a hidden width and each is >= 1,
-    and the activation is one of ACTIVATIONS."""
-    if not hidden_widths or min(hidden_widths) < 1:
-        raise ConfigurationError(f"hidden widths must be >= 1, got {hidden_widths}")
+    """Raise ConfigurationError unless there is a hidden width and each is an
+    int (not a bool) >= 1, and the activation is one of ACTIVATIONS."""
+    if not hidden_widths or not all(type(w) is int and w >= 1 for w in hidden_widths):
+        raise ConfigurationError(f"hidden widths must be integers >= 1, got {hidden_widths}")
     if activation not in ACTIVATIONS:
         raise ConfigurationError(
             f"activation must be one of {', '.join(ACTIVATIONS)}, got {activation!r}")
@@ -56,7 +56,6 @@ class NetworkSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         check_network(self.hidden_widths, self.activation)
 
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -213,7 +212,9 @@ class TrainedModel:
     target_std: float
     loss_history: list[float]  # MeV^2 per epoch
 
+    @np.errstate(over="ignore", invalid="ignore")
     def predict(self, z, a) -> np.ndarray:
+        """Energies in MeV; inf or nan, without a numpy warning, on overflow."""
         X = np.column_stack([np.asarray(z, dtype=np.float64).ravel(),
                              np.asarray(a, dtype=np.float64).ravel()])
         raw = forward(self.params, (X - self.input_mean) / self.input_std)
@@ -315,12 +316,18 @@ def load_model(path) -> TrainedModel:
                                  "expected 2 and 1".format(**meta))
             spec = NetworkSpec(hidden_widths=tuple(meta["hidden_widths"]),
                                activation=meta["activation"])
+            params = NetworkParams(spec, data["flat"].copy())
+            if not np.isfinite(params.flat).all():
+                raise ValueError("flat vector must be finite")
             stats = [data[name] for name in ("input_mean", "input_std", "target_stats")]
             if not (all(x.dtype == np.float64 and x.shape == (2,) and np.isfinite(x).all()
                         for x in stats) and min(*stats[1], stats[2][1]) > 0):
                 raise ValueError("input_mean, input_std and target_stats must each be 2 "
                                  "finite float64 numbers, with each std > 0")
-            return TrainedModel(NetworkParams(spec, data["flat"].copy()), *stats[:2],
-                                *stats[2].tolist(), loss_history=list(meta["loss_history"]))
+            history = meta["loss_history"]
+            if not (type(history) is list and history and all(
+                    type(x) is float and 0 <= x < np.inf for x in history)):
+                raise ValueError("loss_history must be a nonempty list of finite floats >= 0")
+            return TrainedModel(params, *stats[:2], *stats[2].tolist(), loss_history=history)
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataIntegrityError(f"{path} is not a model file: {exc}") from None

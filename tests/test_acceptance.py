@@ -26,8 +26,8 @@ from nucaug.experiment import (ARCH_SETTINGS, ResultTable, TrialResult,
                                TrialSpec, build_trial_specs, dataset_tag,
                                read_results_csv, result_row, run_trial,
                                write_manifest)
-from nucaug.network import (NetworkParams, NetworkSpec, backward, forward,
-                            loss_mse, param_count)
+from nucaug.network import (NetworkParams, NetworkSpec, TrainConfig, backward,
+                            forward, loss_mse, param_count)
 from nucaug.optimizers import OptimizerConfig, init_state, optimizer_step
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -374,10 +374,9 @@ class TestCriterion10Extrapolation:
 @pytest.mark.slow
 class TestCriterion11Determinism:
     def test_rerun_matches_persisted_row(self, sweep_rows, split, extrapolation):
-        spec = TrialSpec(hidden_widths=(32, 16, 8), activation="relu",
-                         technique="none", k=0, seed=0,
-                         optimizer=OptimizerConfig(), epochs=3500,
-                         batch_size=64)
+        spec = TrialSpec(network=NetworkSpec((32, 16, 8), "relu"),
+                         train_config=TrainConfig(epochs=3500, batch_size=64, seed=0),
+                         optimizer=OptimizerConfig(), technique="none", k=0)
         fresh = [str(x) for x in result_row(run_trial(spec, split, extrapolation))]
         # the row's text as persisted, which read_results_csv decodes
         with open(os.path.join(RESULTS_DIR, "results.csv"), newline="") as fh:

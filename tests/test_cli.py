@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nucaug import ame, augment, cli, experiment
+from nucaug import ame, augment, cli, experiment, network
 from nucaug.errors import ConfigurationError, DataIntegrityError, MassTableParseError
 from nucaug.optimizers import OptimizerConfig
 
@@ -165,6 +165,12 @@ class TestAugment:
         assert list(tmp_path.iterdir()) == [Path(records_csv)]
 
 
+# load_model's messages for a malformed loss history and malformed statistics
+BAD_LOSS_HISTORY = "loss_history must be a nonempty list of finite floats >= 0"
+BAD_STATS = ("input_mean, input_std and target_stats must each be 2 finite float64 numbers, "
+             "with each std > 0")
+
+
 class TestTrainEvaluate:
     def test_round_trip(self, records_csv, tmp_path, capsys):
         model = str(tmp_path / "model.npz")
@@ -212,9 +218,9 @@ class TestTrainEvaluate:
         assert run(["train", str(train_csv), "--arch", "6-4", "--epochs", "30",
                     "--batch", "8", "--seed", "2", "--out", model], capsys)[0] == cli.EXIT_OK
         code, out, _ = run(["evaluate", model, str(test_csv)], capsys)
-        spec = experiment.TrialSpec(hidden_widths=(6, 4), activation="relu",
-                                    technique="none", k=0, seed=2,
-                                    optimizer=OptimizerConfig(), epochs=30, batch_size=8)
+        spec = experiment.TrialSpec(network=network.NetworkSpec((6, 4), "relu"),
+                                    train_config=network.TrainConfig(30, 8, seed=2),
+                                    optimizer=OptimizerConfig(), technique="none", k=0)
         rms = experiment.run_trial(spec, split).rms_test
         assert (code, out) == (cli.EXIT_OK, f"rms: {rms:.6f} MeV over {len(split.test)} nuclei\n")
 
@@ -236,9 +242,15 @@ class TestTrainEvaluate:
         ({"format_version": 2}, "unsupported model format version 2"),
         ({"activation": "softplus"},
          "activation must be one of relu, tanh, sigmoid, got 'softplus'"),
-        ({"hidden_widths": [0]}, "hidden widths must be >= 1, got (0,)"),
+        ({"hidden_widths": [0]}, "hidden widths must be integers >= 1, got (0,)"),
+        ({"hidden_widths": [4.5]}, "hidden widths must be integers >= 1, got (4.5,)"),
+        ({"hidden_widths": [True]}, "hidden widths must be integers >= 1, got (True,)"),
         ({"hidden_widths": [5]}, "flat vector must be float64 of length 21"),
-    ], ids=["format_version", "activation", "width_0", "widths_not_the_vector"])
+        *(({"loss_history": history}, BAD_LOSS_HISTORY)
+          for history in ("abc", 3, [], [1.0, -1.0], [1.0, None], [2], [float("nan")])),
+    ], ids=["format_version", "activation", "width_0", "width_not_integer", "width_bool",
+            "widths_not_the_vector", "history_text", "history_number", "history_empty",
+            "history_negative", "history_null", "history_int", "history_nan"])
     def test_evaluate_model_of_bad_metadata_is_data_error(self, meta, message, records_csv,
                                                           tmp_path, capsys, edit_model_meta):
         model = tmp_path / "model.npz"
@@ -248,16 +260,18 @@ class TestTrainEvaluate:
         assert run(["evaluate", str(model), records_csv], capsys) == (
             cli.EXIT_DATA, "", f"data error: {model} is not a model file: {message}\n")
 
-    @pytest.mark.parametrize("name, array", [
-        ("input_mean", np.zeros(3)),
-        ("target_stats", np.array([1.0])),
-        ("target_stats", np.array([])),
-        ("input_mean", np.array(["8", "16"])),
-        ("input_std", np.zeros(2)),
+    @pytest.mark.parametrize("name, array, message", [
+        ("input_mean", np.zeros(3), BAD_STATS),
+        ("target_stats", np.array([1.0]), BAD_STATS),
+        ("target_stats", np.array([]), BAD_STATS),
+        ("input_mean", np.array(["8", "16"]), BAD_STATS),
+        ("input_std", np.zeros(2), BAD_STATS),
+        ("flat", np.full(17, np.inf), "flat vector must be finite"),  # arch 4
+        ("flat", np.full(17, np.nan), "flat vector must be finite"),
     ], ids=["mean_of_3", "target_stats_of_1", "target_stats_empty", "mean_of_text",
-            "std_0"])
-    def test_evaluate_model_of_bad_arrays_is_data_error(self, name, array, records_csv,
-                                                        tmp_path, capsys):
+            "std_0", "flat_inf", "flat_nan"])
+    def test_evaluate_model_of_bad_arrays_is_data_error(self, name, array, message,
+                                                        records_csv, tmp_path, capsys):
         model = tmp_path / "model.npz"
         assert run(["train", records_csv, "--arch", "4", "--epochs", "1", "--batch", "8",
                     "--out", str(model)], capsys)[0] == cli.EXIT_OK
@@ -265,9 +279,20 @@ class TestTrainEvaluate:
             arrays = {key: data[key] for key in data.files}
         np.savez(model, **{**arrays, name: array})
         assert run(["evaluate", str(model), records_csv], capsys) == (
-            cli.EXIT_DATA, "", f"data error: {model} is not a model file: input_mean, "
-            "input_std and target_stats must each be 2 finite float64 numbers, with each "
-            "std > 0\n")
+            cli.EXIT_DATA, "", f"data error: {model} is not a model file: {message}\n")
+
+    def test_evaluate_of_overflowing_predictions_is_one_line(self, records_csv, tmp_path,
+                                                            capsys):
+        # finite parameters whose predictions overflow: no numpy warning
+        model = tmp_path / "model.npz"
+        assert run(["train", records_csv, "--arch", "4", "--epochs", "1", "--batch", "8",
+                    "--out", str(model)], capsys)[0] == cli.EXIT_OK
+        with np.load(model) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez(model, **{**arrays, "flat": np.full_like(arrays["flat"], 1e300)})
+        n = len(ame.read_records_csv(records_csv))
+        assert run(["evaluate", str(model), records_csv], capsys) == (
+            cli.EXIT_DATA, "", f"data error: rms over {n} nuclei is not finite: inf\n")
 
     def test_bad_arch_usage_error(self, records_csv, tmp_path, capsys):
         code, _, _ = run(["train", records_csv, "--arch", "8-x", "--epochs",
@@ -840,7 +865,7 @@ class TestStrictResultsCsv:
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\n{RESULTS_ROW.replace(',none,', ',mixup,')}\n",
          "line 3: unknown augmentation technique 'mixup'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '32-0-8')}\n",
-         "line 2: hidden widths must be >= 1, got (32, 0, 8)"),
+         "line 2: hidden widths must be integers >= 1, got (32, 0, 8)"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',2.0,', ',-1,')}\n",
          "line 2: rms_test_mev field '-1.0': a metric must not be negative"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW.replace(',0.1,', ',-inf,')}\n",
@@ -963,6 +988,21 @@ class TestStrictResultsCsv:
 
 
 class TestReport:
+    @pytest.mark.parametrize("figure, row, missing", [
+        ("table1", RESULTS_ROW, "[('32-16-8', 'none'), ('32-16-8', 'error')]"),
+        ("fig3", RESULTS_ROW.replace("32-16-8", "64-16"),
+         "['128', '32-32', '32-16-8', '32-16-16-8']"),
+        ("fig5", RESULTS_ROW.replace("32-16-8", "64-16"),
+         "['128', '32-32', '32-16-8', '32-16-16-8']"),
+    ], ids=["table1", "fig3", "fig5"])
+    def test_missing_cells_is_one_bare_line(self, figure, row, missing, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{RESULTS_HEADER}\n{row}\n")
+        out = tmp_path / "out"
+        assert run(["report", str(path), "--figure", figure, "--out", str(out)], capsys) == (
+            cli.EXIT_DATA, "", f"data error: missing result cells: {missing}\n")
+        assert not out.exists()
+
     def test_fig2(self, tmp_path, capsys):
         records_csv = str(tmp_path / "records.csv")
         ame.write_records_csv(
@@ -1057,9 +1097,10 @@ class TestLevelRule:
 
     def trial_spec(self, tmp_path, capsys, technique, k, noise_seed, message):
         with pytest.raises(ConfigurationError) as exc:
-            experiment.TrialSpec(hidden_widths=(4,), activation="relu", technique=technique,
-                                 k=k, seed=0, optimizer=OptimizerConfig(), epochs=1,
-                                 batch_size=8, noise_seed=noise_seed)
+            experiment.TrialSpec(network=network.NetworkSpec((4,), "relu"),
+                                 train_config=network.TrainConfig(1, 8, seed=0),
+                                 optimizer=OptimizerConfig(), technique=technique, k=k,
+                                 noise_seed=noise_seed)
         assert str(exc.value) == message
 
     def augment(self, tmp_path, capsys, technique, k, noise_seed, message):
@@ -1113,7 +1154,7 @@ BAD_SETTINGS = {
                   "optimizer must be one of adam, nadam, adamax, rmsprop, got 'sgd'"),
     "activation": ({"activation": "softplus"},
                    "activation must be one of relu, tanh, sigmoid, got 'softplus'"),
-    "width_0": ({"widths": (4, 0)}, "hidden widths must be >= 1, got (4, 0)"),
+    "width_0": ({"widths": (4, 0)}, "hidden widths must be integers >= 1, got (4, 0)"),
     "epochs_0": ({"epochs": 0}, "epochs must be >= 1, got 0"),
     "batch_0": ({"batch": 0}, "batch_size must be >= 1, got 0"),
     "seed_negative": ({"seed": -3}, "seed must be >= 0, got -3"),
@@ -1168,10 +1209,11 @@ class TestTrialSettingRules:
 
     def trial_spec(self, tmp_path, capsys, s, message):
         with pytest.raises(ConfigurationError) as exc:
-            experiment.TrialSpec(hidden_widths=s["widths"], activation=s["activation"],
-                                 technique="none", k=0, seed=s["seed"],
+            experiment.TrialSpec(network=network.NetworkSpec(s["widths"], s["activation"]),
+                                 train_config=network.TrainConfig(s["epochs"], s["batch"],
+                                                                  s["seed"]),
                                  optimizer=OptimizerConfig(algorithm=s["optimizer"]),
-                                 epochs=s["epochs"], batch_size=s["batch"])
+                                 technique="none", k=0)
         assert str(exc.value) == message
 
     def results_csv(self, tmp_path, capsys, s, message):

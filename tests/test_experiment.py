@@ -37,11 +37,14 @@ def toy_split(n=30, seed=0):
 
 
 def toy_spec(**overrides):
-    base = dict(hidden_widths=(6, 4), activation="relu", technique="none",
-                k=0, seed=0, optimizer=OptimizerConfig(), epochs=40,
-                batch_size=8)
-    base.update(overrides)
-    return TrialSpec(**base)
+    s = dict(hidden_widths=(6, 4), activation="relu", technique="none",
+             k=0, seed=0, optimizer=OptimizerConfig(), epochs=40,
+             batch_size=8, noise_seed=0)
+    s.update(overrides)
+    return TrialSpec(network=NetworkSpec(s["hidden_widths"], s["activation"]),
+                     train_config=TrainConfig(s["epochs"], s["batch_size"], s["seed"]),
+                     optimizer=s["optimizer"], technique=s["technique"], k=s["k"],
+                     noise_seed=s["noise_seed"])
 
 
 def fake_result(spec):
@@ -310,9 +313,9 @@ class TestTrialCache:
         again.write_csv(results)
         assert read_results_csv(results) == [
             dict(zip(experiment.RESULTS_COLUMNS, [
-                s.arch_label, s.technique, s.k, s.optimizer.algorithm, s.activation, s.seed,
-                res.rms_test, res.rms_extrapolation, res.final_train_loss, s.epochs,
-                s.batch_size, res.status]))
+                s.arch_label, s.technique, s.k, s.optimizer.algorithm, s.network.activation,
+                s.seed, res.rms_test, res.rms_extrapolation, res.final_train_loss,
+                s.train_config.epochs, s.train_config.batch_size, res.status]))
             for res in first.sorted_trials() for s in [res.spec]]
         # the retrained trial's file was overwritten, so it is a hit from now on
         assert experiment._cached_result(toy_spec(seed=1), cache, dataset_tag(split)) is not None
