@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -256,14 +257,18 @@ def _usable_cpus() -> int:
 
 
 def _export_figures(results_csv, out_dir):
-    """Write every figure CSV the results support; skip incomplete ones."""
+    """Write every figure CSV the results support; remove any earlier CSV of a
+    figure they do not, so no figure outlives the results it was drawn from."""
     rows = experiment.read_results_csv(results_csv)
     for fig_id, build in report.FIGURES.items():
+        path = os.path.join(out_dir, f"{fig_id}.csv")
         try:
             header, data_rows = build(rows)
         except IncompleteDataError:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
             continue
-        ame.write_csv(os.path.join(out_dir, f"{fig_id}.csv"), header, data_rows)
+        ame.write_csv(path, header, data_rows)
 
 
 def cmd_report(args) -> int:
@@ -284,8 +289,10 @@ def cmd_report(args) -> int:
     else:
         if not args.results_csv:
             raise ConfigurationError(f"figure {args.figure!r} needs a results CSV")
-        header, rows = report.FIGURES[args.figure](
-            experiment.read_results_csv(args.results_csv))
+        results = experiment.read_results_csv(args.results_csv)
+        if not results:
+            raise DataIntegrityError(f"{args.results_csv} holds no results")
+        header, rows = report.FIGURES[args.figure](results)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.figure}.csv")
     ame.write_csv(path, header, rows)

@@ -25,7 +25,7 @@ from . import __version__, augment
 from .ame import DatasetSplit, NuclideRecord, read_csv, write_csv
 from .errors import ConfigurationError, TrainingDivergedError
 from .network import (NetworkSpec, TrainConfig, TrainedModel, arch_label, check_network,
-                      check_training, loss_mse, parse_arch, train)
+                      check_training, parse_arch, train)
 from .optimizers import OptimizerConfig, check_algorithm
 
 # (hidden widths, epochs, batch size) used throughout the baseline study
@@ -43,16 +43,14 @@ ARCH_SETTINGS: list[tuple[tuple[int, ...], int, int]] = [
 ]
 
 
-def rms_error(predictions, targets) -> float:
-    """sqrt(loss_mse), in MeV; inf, without a numpy warning, on overflow."""
-    return math.sqrt(loss_mse(predictions, targets))
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def score(model: TrainedModel, records: list[NuclideRecord]) -> tuple[np.ndarray, float]:
-    """The model's predictions for the records, and their rms in MeV."""
+    """The model's predictions for the records, and their rms in MeV; inf, without
+    a numpy warning, on overflow."""
     z, _, a, be_total, _, _ = zip(*records)
     pred = model.predict(z, a)
-    return pred, rms_error(pred, be_total)
+    d = pred - np.array(be_total)
+    return pred, math.sqrt(float(np.mean(d * d)))
 
 
 @dataclass(frozen=True)

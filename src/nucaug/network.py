@@ -132,33 +132,6 @@ def _layer_outputs(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
     return hs
 
 
-def forward(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    """Predictions for a batch of (already standardized) inputs, shape (B, in)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != 2:
-        raise ConfigurationError(f"input dim {X.shape[1]} != 2")
-    return _layer_outputs(params, X)[-1][:, 0]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def loss_mse(predictions, targets) -> float:
-    """mean((pred - target)^2); inf, without a numpy warning, on overflow."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape or predictions.size == 0:
-        raise ConfigurationError("loss_mse needs equal-length nonempty inputs")
-    d = predictions - targets
-    return float(np.mean(d * d))
-
-
-def backward(params: NetworkParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact gradient of batch-mean MSE, as a flat vector matching params.flat."""
-    grad = np.empty_like(params.flat)
-    gview = NetworkParams(params.spec, grad)
-    _forward_backward(params, gview, X, y)
-    return grad
-
-
 def _forward_backward(params: NetworkParams, grad: NetworkParams,
                       X: np.ndarray, y: np.ndarray) -> float:
     """Fill grad's views with the batch-mean MSE gradient; return the loss.
@@ -170,7 +143,8 @@ def _forward_backward(params: NetworkParams, grad: NetworkParams,
     """
     hs = _layer_outputs(params, X)
     diff = hs[-1][:, 0] - y
-    # not loss_mse: np.mean sums pairwise, so its last bit can differ
+    # np.dot, not the np.mean of experiment.score: np.mean sums pairwise, so its
+    # last bit can differ, and the loss history keeps the dot's bits
     loss = float(np.dot(diff, diff)) / diff.size
 
     # delta holds dL/d(pre-activation of layer i) while walking backwards
@@ -217,7 +191,7 @@ class TrainedModel:
         """Energies in MeV; inf or nan, without a numpy warning, on overflow."""
         X = np.column_stack([np.asarray(z, dtype=np.float64).ravel(),
                              np.asarray(a, dtype=np.float64).ravel()])
-        raw = forward(self.params, (X - self.input_mean) / self.input_std)
+        raw = _layer_outputs(self.params, (X - self.input_mean) / self.input_std)[-1][:, 0]
         return raw * self.target_std + self.target_mean
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nucaug import ame, augment, cli, experiment, network
+from nucaug import ame, augment, cli, experiment, network, report
 from nucaug.errors import ConfigurationError, DataIntegrityError, MassTableParseError
 from nucaug.optimizers import OptimizerConfig
 
@@ -1002,6 +1002,26 @@ class TestReport:
         assert run(["report", str(path), "--figure", figure, "--out", str(out)], capsys) == (
             cli.EXIT_DATA, "", f"data error: missing result cells: {missing}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("figure", list(report.FIGURES))
+    def test_no_results_is_data_error(self, figure, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{RESULTS_HEADER}\n")
+        out = tmp_path / "out"
+        assert run(["report", str(path), "--figure", figure, "--out", str(out)], capsys) == (
+            cli.EXIT_DATA, "", f"data error: {path} holds no results\n")
+        assert not out.exists()
+
+    def test_export_removes_a_figure_the_results_lack(self, tmp_path):
+        # fig4 shows 32-16-8, which these results (of an earlier sweep's
+        # output directory) no longer hold
+        path = tmp_path / "results.csv"
+        path.write_text(f"{RESULTS_HEADER}\n{RESULTS_ROW.replace('32-16-8', '128')}\n")
+        stale = tmp_path / "fig4.csv"
+        stale.write_text("arch,augmentation\n32-16-8,none\n")
+        cli._export_figures(str(path), str(tmp_path))
+        assert not stale.exists()
+        assert not (tmp_path / "fig7.csv").exists()
 
     def test_fig2(self, tmp_path, capsys):
         records_csv = str(tmp_path / "records.csv")

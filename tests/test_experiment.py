@@ -13,9 +13,9 @@ from nucaug.augment import identity_set
 from nucaug.errors import ConfigurationError
 from nucaug.experiment import (ARCH_SETTINGS, ResultTable, TrialResult,
                                TrialSpec, build_trial_specs, dataset_tag,
-                               read_results_csv, result_row,
-                               rms_error, run_trial, sweep, write_manifest)
-from nucaug.network import NetworkSpec, TrainConfig, loss_mse, train
+                               read_results_csv, result_row, run_trial, score, sweep,
+                               write_manifest)
+from nucaug.network import NetworkSpec, TrainConfig, train
 from nucaug.optimizers import OptimizerConfig
 
 
@@ -72,28 +72,40 @@ def slow_trial(spec, split, extrapolation=None):
     return fake_result(spec)
 
 
-class TestMetrics:
-    def test_rms_error(self):
-        assert rms_error([1.0, 2.0], [1.0, 2.0]) == 0.0
-        assert rms_error([3.0, 0.0], [0.0, 4.0]) == pytest.approx(math.sqrt(12.5))
+class FixedModel:
+    """A model whose predictions are given, whatever the nuclei."""
 
-    def test_rms_error_validation(self):
-        with pytest.raises(ConfigurationError):
-            rms_error([1.0], [1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            rms_error([], [])
+    def __init__(self, predictions):
+        self.predictions = np.array(predictions, dtype=np.float64)
 
-    def test_rms_error_overflow_is_inf_without_warning(self):
+    def predict(self, z, a):
+        assert len(z) == len(a) == len(self.predictions)
+        return self.predictions
+
+
+def scored(predictions, targets):
+    """score's (predictions, rms) for records whose energies are the targets."""
+    return score(FixedModel(predictions), [rec(20, 20 + i, float(t))
+                                           for i, t in enumerate(targets)])
+
+
+class TestScore:
+    def test_rms_values(self):
+        assert scored([1.0, 2.0], [1.0, 2.0])[1] == 0.0
+        assert scored([3.0, 0.0], [0.0, 4.0])[1] == pytest.approx(math.sqrt(12.5))
+
+    def test_overflow_is_inf_without_warning(self):
         # pytest turns a RuntimeWarning from the package into an error
-        assert rms_error([0.0, 0.0], [1e300, 1.0]) == math.inf
+        assert scored([0.0, 0.0], [1e300, 1.0])[1] == math.inf
 
-    def test_rms_error_is_the_root_of_loss_mse(self):
+    def test_rms_is_the_root_of_numpys_mean(self):
         # the same bits as the root of the mean taken in numpy
         rng = np.random.default_rng(0)
         for n in (1, 2, 7, 300, 4999):
-            pred, target = rng.normal(800.0, 300.0, size=(2, n))
+            # a record's binding energy is >= 0
+            pred, target = np.abs(rng.normal(800.0, 300.0, size=(2, n)))
             d = pred - target
-            assert (rms_error(pred, target) == math.sqrt(loss_mse(pred, target))
+            assert (scored(pred, target)[1] == math.sqrt(float(np.mean(d * d)))
                     == float(np.sqrt(np.mean(d * d))))
 
 
@@ -174,7 +186,8 @@ class TestRunTrial:
         pred, rms = experiment.score(model, split.test)
         assert np.array_equal(pred, model.predict([r.z for r in split.test],
                                                   [r.a for r in split.test]))
-        assert rms == rms_error(pred, [r.be_total for r in split.test])
+        d = pred - np.array([r.be_total for r in split.test])
+        assert rms == math.sqrt(float(np.mean(d * d)))
         assert run_trial(spec, split).rms_test == rms
 
     def test_leak_detection(self):
