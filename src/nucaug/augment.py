@@ -21,7 +21,9 @@ generation order does not matter.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -127,6 +129,60 @@ def _stream(noise_seed: int, resample_index: int, nucleus_index: int) -> np.rand
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    x_hi, x_lo = x >> 32, x & 0xFFFFFFFF
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    carry = ((lo_lo >> 32) + (hi_lo & 0xFFFFFFFF) + (lo_hi & 0xFFFFFFFF)) >> 32
+    return x_hi * m_hi + (hi_lo >> 32) + (lo_hi >> 32) + carry, x * np.uint64(m)
+
+
+def _philox_words(noise_seed: int, key1: np.ndarray) -> np.ndarray:
+    """The first word of each stream keyed (noise_seed, key1), as
+    np.random.Philox(key=...).random_raw() gives it: word 0 of Philox4x64-10
+    at counter 1 (Salmon et al., SC'11), in wrapping uint64 arithmetic."""
+    zero = np.zeros_like(key1)
+    c0, c1, c2, c3 = np.ones_like(key1), zero, zero, zero
+    key0 = noise_seed
+    for round_index in range(10):
+        if round_index:
+            key0 = (key0 + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            key1 = key1 + np.uint64(0xBB67AE8584CAA73B)
+        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, c0)
+        hi1, lo1 = _mulhilo(0xCA5A826395121157, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ key1, lo0
+    return c0
+
+
+@functools.cache
+def _normal_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's normal widths and one-word bounds, read from its standard_normal.
+
+    A word w with idx = w & 0xff, sign bit 8 and rabs = bits 9-60 gives
+    +-rabs * width[idx] from w alone when rabs < bound[idx]. Each bound is
+    the strip ratio floor(width[idx-1] / width[idx] * 2**52), kept only if
+    numpy draws (bound - 1) * width[idx] from one word; otherwise it is 0.
+    """
+    rng = _stream(0, 0, 0)
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    state["buffer_pos"] = 0
+
+    def draw(word: int) -> tuple[float, bool]:  # the deviate and whether one word made it
+        state["buffer"] = np.array([word, 0, 0, 0], dtype=np.uint64)
+        bit_generator.state = state
+        return rng.standard_normal(), bit_generator.state["buffer_pos"] == 1
+
+    widths = np.array([draw(1 << 9 | idx)[0] for idx in range(256)])
+    bounds = np.zeros(256, dtype=np.uint64)
+    for idx in range(2, 256):
+        bound = math.floor(widths[idx - 1] / widths[idx] * 2.0 ** 52)
+        if bound >= 1 and draw((bound - 1) << 9 | idx) == ((bound - 1) * widths[idx], True):
+            bounds[idx] = bound
+    return widths, bounds
+
+
 def gaussian_resample(train: list[NuclideRecord], k: int,
                       noise_seed: int) -> AugmentedTrainingSet:
     """Append k cumulative passes of Gaussian draws after the original rows.
@@ -142,19 +198,25 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
     n = len(train)
     rows = np.tile(_rows(z, a, be_total, ORIGIN_ORIGINAL), 1 + k)
     rows["origin"] = np.arange(1 + k).repeat(n)  # pass r's rows are gauss_<r>
-    # One generator, re-keyed per cell: (r, i) only changes the key, and every
-    # stream starts at counter 0 with an empty buffer. Gives the draws of a
-    # fresh _stream(noise_seed, r, i) without building k * n generators.
+    # Every cell's deviate is numpy's draw from the first word of its stream
+    # whenever that word alone makes it; the rest (about 2 %) re-key one
+    # generator, which gives the draws of a fresh _stream(noise_seed, r, i).
+    key1 = (np.arange(1, k + 1, dtype=np.uint64)[:, None] << 32
+            | np.arange(n, dtype=np.uint64)).ravel()
+    word = _philox_words(noise_seed, key1)
+    widths, bounds = _normal_tables()
+    idx = (word & 0xFF).astype(np.intp)
+    rabs = word >> 9 & np.uint64(2 ** 52 - 1)
+    deviates = rabs * widths[idx]
+    deviates[word & 0x100 != 0] *= -1
     rng = _stream(noise_seed, 0, 0)
     start = rng.bit_generator.state
-    key = start["state"]["key"]
-    draws = []
-    for r_idx in range(1, k + 1):
-        for i, (mu, sigma) in enumerate(zip(be_total, be_err)):
-            key[1] = (r_idx << 32) | i
-            rng.bit_generator.state = start
-            draws.append(mu + sigma * rng.standard_normal())
-    rows["energy"][n:] = draws
+    for cell in np.flatnonzero(rabs >= bounds[idx]).tolist():
+        start["state"]["key"][1] = key1[cell]
+        rng.bit_generator.state = start
+        deviates[cell] = rng.standard_normal()
+    with np.errstate(over="ignore", invalid="ignore"):  # AugmentedTrainingSet names the row
+        rows["energy"][n:] = np.tile(be_total, k) + np.tile(be_err, k) * deviates
     return AugmentedTrainingSet(rows=rows, technique="gaussian", k=k, noise_seed=noise_seed)
 
 

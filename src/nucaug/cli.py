@@ -39,10 +39,16 @@ def _parse_seeds(text: str) -> list[int]:
     seeds = []
     for token in text.replace(",", " ").split():
         if ".." in token:
-            lo, hi = map(int, token.split(".."))
+            bounds = token.split("..")
+            if len(bounds) != 2:
+                raise ValueError(f"seed range {token!r} is not LO..HI")
+            lo, hi = map(int, bounds)
             if lo > hi:
                 raise ValueError(f"descending seed range {token!r}")
-            seeds.extend(range(lo, hi + 1))
+            try:
+                seeds.extend(range(lo, hi + 1))
+            except OverflowError:  # more seeds than a list can index
+                raise ValueError(f"seed range {token!r} is too long") from None
         else:
             seeds.append(int(token))
     return seeds

@@ -40,11 +40,29 @@ def parse_arch(text: str) -> tuple[int, ...]:
     return tuple(int(w) for w in text.split("-"))
 
 
+# the most float64 values one numpy array can hold
+_MAX_PARAMS = np.iinfo(np.intp).max // 8
+
+
+def _layer_dims(hidden_widths: tuple[int, ...]) -> list[tuple[int, int]]:
+    widths = (2, *hidden_widths, 1)  # (Z, A) -> one energy
+    return list(zip(widths[:-1], widths[1:]))
+
+
+def _param_count(hidden_widths: tuple[int, ...]) -> int:
+    return sum((fi + 1) * fo for fi, fo in _layer_dims(hidden_widths))
+
+
 def check_network(hidden_widths: tuple[int, ...], activation: str) -> None:
     """Raise ConfigurationError unless there is a hidden width and each is an
-    int (not a bool) >= 1, and the activation is one of ACTIVATIONS."""
+    int (not a bool) >= 1, numpy can size the parameter vector, and the
+    activation is one of ACTIVATIONS."""
     if not hidden_widths or not all(type(w) is int and w >= 1 for w in hidden_widths):
         raise ConfigurationError(f"hidden widths must be integers >= 1, got {hidden_widths}")
+    if _param_count(hidden_widths) > _MAX_PARAMS:
+        raise ConfigurationError(
+            f"hidden widths {arch_label(hidden_widths)} need more than {_MAX_PARAMS} "
+            "parameters, the most a numpy array holds")
     if activation not in ACTIVATIONS:
         raise ConfigurationError(
             f"activation must be one of {', '.join(ACTIVATIONS)}, got {activation!r}")
@@ -59,13 +77,12 @@ class NetworkSpec:
         check_network(self.hidden_widths, self.activation)
 
     def layer_dims(self) -> list[tuple[int, int]]:
-        widths = (2, *self.hidden_widths, 1)  # (Z, A) -> one energy
-        return list(zip(widths[:-1], widths[1:]))
+        return _layer_dims(self.hidden_widths)
 
 
 def param_count(spec: NetworkSpec) -> int:
     """Total scalar parameters: sum over layers of (fan_in + 1) * fan_out."""
-    return sum((fi + 1) * fo for fi, fo in spec.layer_dims())
+    return _param_count(spec.hidden_widths)
 
 
 class NetworkParams:

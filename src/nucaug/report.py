@@ -153,7 +153,16 @@ def per_seed_traces(rows: list[dict], column: str) -> tuple[list[str], list[list
 
 
 def _setting_comparison(rows: list[dict], setting: str) -> tuple[list[str], list[list]]:
-    """Mean test rms of STABILITY_ARCH per setting value and level, ordered by both."""
+    """Mean test rms of STABILITY_ARCH per setting value and level, ordered by both;
+    each setting value's rows must share one value of the other setting."""
+    other = "activation" if setting == "optimizer" else "optimizer"
+    pairs = sorted({(r["optimizer"], r["activation"]) for r in rows})
+    values = [o if setting == "optimizer" else a for o, a in pairs]
+    mixed = [f"{o}/{a}" for (o, a), value in zip(pairs, values) if values.count(value) > 1]
+    if mixed:
+        raise ConfigurationError(
+            f"results mix (optimizer, activation) settings {', '.join(mixed)}; "
+            f"compare one {other} per {setting}")
     means = _group_means(rows, "rms_test_mev", key=lambda row: (row[setting], *_cell(row)))
     header = [setting, "arch", "resamples", "mean_rms_mev"]
     cells = sorted((value, augment.level_label(technique, k), k, v)

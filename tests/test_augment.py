@@ -108,10 +108,11 @@ class TestGaussianResample:
                     assert energy == direct[(z, a, pass_idx)]
         assert others  # sanity
 
-    @pytest.mark.parametrize("noise_seed", [0, 7])
+    @pytest.mark.parametrize("noise_seed", [0, 7, 2**64 - 1])
     def test_every_cell_matches_its_own_stream(self, split, noise_seed):
-        # the re-keyed generator must give, on the real training set, the
-        # draw a fresh _stream would give for every (pass, nucleus) cell
+        # the computed Philox words and the re-keyed fallback must give, on
+        # the real training set, the draw a fresh _stream would give for
+        # every (pass, nucleus) cell; at 2**64 - 1 the Philox key bump wraps
         train = split.train
         assert any(r.be_err == 0 for r in train)
         out = augment.gaussian_resample(train, 5, noise_seed)
@@ -119,6 +120,13 @@ class TestGaussianResample:
             r.be_total + r.be_err * augment._stream(noise_seed, pass_idx, i).standard_normal()
             for pass_idx in range(1, 6) for i, r in enumerate(train)]
         assert out.rows["energy"][len(train):].tobytes() == np.array(expected).tobytes()
+
+    def test_key_bits_above_the_nucleus_index(self):
+        # pass indices up to 40 set key bits 32-37, above the nucleus index
+        out = augment.gaussian_resample(SAMPLE[:3], 40, noise_seed=5)
+        expected = [r.be_total + r.be_err * augment._stream(5, pass_idx, i).standard_normal()
+                    for pass_idx in range(1, 41) for i, r in enumerate(SAMPLE[:3])]
+        assert out.rows["energy"][3:].tobytes() == np.array(expected).tobytes()
 
     def test_draw_moments(self):
         mu, sigma = 500.0, 0.3

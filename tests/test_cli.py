@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -518,6 +519,24 @@ class TestSweep:
         assert rewritten == {k: v for k, v in json.loads(text).items()
                              if k != "wall_time"}
 
+    def test_readme_command_block_runs_in_order(self, tmp_path, monkeypatch, capsys):
+        # from the repository's data and configs, into a new demo/ directory
+        readme = Path(ROOT, "README.md").read_text()
+        section = readme[readme.index("## Command line\n"):]
+        block = re.search(r"^```\n(.*?)^```$", section, re.M | re.S).group(1)
+        for name in ("data", "configs"):
+            (tmp_path / name).symlink_to(Path(ROOT, name).resolve())
+        monkeypatch.chdir(tmp_path)
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            if argv[:1] == ["mkdir"]:
+                os.mkdir(argv[1])
+            elif argv:
+                assert argv[0] == "nucaug"
+                code, _, err = run(argv[1:], capsys)
+                assert (code, err) == (cli.EXIT_OK, ""), line
+        assert (tmp_path / "demo" / "figures" / "fig4.csv").read_text().count("\n") == 10
+
     def test_diverged_trials_exit_3_and_resume_from_cache(self, tmp_path):
         # every trial diverges: the run exits 3 with empty metrics in
         # results.csv and null ones in strict-JSON cache files, and a resume
@@ -642,6 +661,20 @@ class TestSweepConfig:
         assert code == cli.EXIT_USAGE
         assert err.startswith("error:") and err.count("\n") == 1
         assert not list((tmp_path / "out").glob("trials/*.json"))
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("0..99999999999999999999", "seed range '0..99999999999999999999' is too long"),
+        ("0..1..2", "seed range '0..1..2' is not LO..HI"),
+    ])
+    def test_bad_seed_range_is_one_line_before_any_table(self, seeds, message, tmp_path,
+                                                         capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(self.VALID.replace("seeds = 0 1", f"seeds = {seeds}")
+                          .replace(MASS16, str(tmp_path / "absent.txt")))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(config), "--out", str(out)], capsys) == (
+            cli.EXIT_USAGE, "", f"error: bad config [sweep] seeds: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("learning_rate = 0", "learning_rate must be a finite number > 0, got 0.0"),
@@ -1178,6 +1211,10 @@ BAD_SETTINGS = {
     "epochs_0": ({"epochs": 0}, "epochs must be >= 1, got 0"),
     "batch_0": ({"batch": 0}, "batch_size must be >= 1, got 0"),
     "seed_negative": ({"seed": -3}, "seed must be >= 0, got -3"),
+    # more parameters than a numpy array holds (np.iinfo(np.intp).max // 8)
+    "width_unsizable": ({"widths": (99999999999999999999,)},
+                        "hidden widths 99999999999999999999 need more than "
+                        "1152921504606846975 parameters, the most a numpy array holds"),
 }
 # every input that takes a trial setting -> the bad settings it can express:
 # `train --optimizer` and `--activation` have argparse choices, and a model
@@ -1187,7 +1224,7 @@ SETTING_INPUTS = {
     "train": [name for name in BAD_SETTINGS if name not in ("optimizer", "activation")],
     "trial_spec": list(BAD_SETTINGS),
     "results_csv": list(BAD_SETTINGS),
-    "model_file": ["activation", "width_0"],
+    "model_file": ["activation", "width_0", "width_unsizable"],
 }
 
 

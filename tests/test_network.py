@@ -69,6 +69,17 @@ class TestSpecAndCounts:
         with pytest.raises(ConfigurationError):
             NetworkSpec((8,), activation="softplus")
 
+    def test_widths_bounded_by_what_numpy_can_size(self):
+        # one hidden width w makes 4w + 1 parameters, and numpy sizes at most
+        # intp max // 8 float64 values; a width below that stays numpy's to
+        # allocate or refuse with its MemoryError
+        most = np.iinfo(np.intp).max // 8
+        assert param_count(NetworkSpec(((most - 1) // 4,))) > most - 4
+        with pytest.raises(ConfigurationError, match="the most a numpy array holds"):
+            NetworkSpec(((most - 1) // 4 + 1,))
+        with pytest.raises(ConfigurationError, match="the most a numpy array holds"):
+            NetworkSpec((8, 2**31, 2**31, 8))
+
 
 class TestInit:
     def test_deterministic(self):

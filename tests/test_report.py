@@ -157,6 +157,27 @@ class TestSettingGuard:
         _, out = report.FIGURES[fig_id](rows)
         assert len({r[0] for r in out}) == 2
 
+    def test_comparison_refuses_a_value_under_two_settings(self):
+        # fig6 would average adam's relu and tanh rows; fig8 compares
+        # activations whose rows each hold one optimizer
+        rows = [{**row, "optimizer": optimizer, "activation": activation,
+                 "rms_test_mev": value}
+                for optimizer, activation, value in [("adam", "relu", 1.0),
+                                                     ("adam", "tanh", 3.0),
+                                                     ("nadam", "sigmoid", 5.0)]
+                for row in result_rows() if row["arch"] == "32-16-8"
+                and row["augmentation"] == "none"]
+        with pytest.raises(ConfigurationError, match=r"^results mix \(optimizer, activation\) "
+                           r"settings adam/relu, adam/tanh; compare one activation per "
+                           r"optimizer$"):
+            report.FIGURES["fig6"](rows)
+        _, out = report.FIGURES["fig8"](rows)
+        assert [r[0] for r in out] == ["relu", "sigmoid", "tanh"]
+        rows += [{**rows[-1], "optimizer": "adam"}]  # sigmoid under nadam and adam
+        with pytest.raises(ConfigurationError, match=r"adam/sigmoid, nadam/sigmoid; "
+                                                     r"compare one optimizer per activation$"):
+            report.FIGURES["fig8"](rows)
+
 
 class TestGaussianIllustration:
     RECORD = NuclideRecord(z=82, n=126, a=208, be_total=1636.43022,
