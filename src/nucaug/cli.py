@@ -225,6 +225,9 @@ def cmd_sweep(args) -> int:
             experimental[key] = ame.filter_experimental(
                 ame.parse_mass_table(content, key.upper()), data["z_min"], data["n_min"])
     split = ame.split_dataset(experimental["ame2016"], split_cfg["ratio"], split_cfg["seed"])
+    if not split.train:
+        raise ConfigurationError(f"split ratio {split_cfg['ratio']} leaves no training records "
+                                 f"of {len(experimental['ame2016'])}")
     extrapolation = (ame.diff_new_nuclei(experimental["ame2016"], experimental["ame2020"])
                      if "ame2020" in experimental else None)
 

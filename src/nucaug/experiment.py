@@ -299,9 +299,11 @@ def build_trial_specs(architectures, levels, seeds, optimizer: OptimizerConfig,
                          ("seeds", list(seeds))):
         if not values:
             raise ConfigurationError(f"the sweep has no {axis}")
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise ConfigurationError(f"the sweep's {axis} repeat {repeated[0]}")
+        seen = set()
+        for v in values:
+            if v in seen:
+                raise ConfigurationError(f"the sweep's {axis} repeat {v}")
+            seen.add(v)
     specs = []
     for widths, epochs, batch in architectures:
         network = NetworkSpec(tuple(widths), activation)

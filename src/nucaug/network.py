@@ -25,7 +25,14 @@ from .augment import ORIGIN_ORIGINAL, AugmentedTrainingSet
 from .errors import ConfigurationError, DataIntegrityError, TrainingDivergedError
 from .optimizers import OptimizerConfig, init_state, optimizer_step
 
-ACTIVATIONS = ("relu", "tanh", "sigmoid")
+# name -> (activation of a pre-activation, its derivative from the activation's
+# output); relu overwrites the pre-activation in place
+_ACTIVATIONS = {
+    "relu": (lambda a: np.maximum(a, 0.0, out=a), lambda h: h > 0.0),
+    "tanh": (np.tanh, lambda h: 1.0 - h * h),
+    "sigmoid": (lambda a: 1.0 / (1.0 + np.exp(-a)), lambda h: h * (1.0 - h)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -114,29 +121,9 @@ def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     return params
 
 
-def _activate(name: str, a: np.ndarray) -> np.ndarray:
-    """Activation of the pre-activation a; relu overwrites a in place."""
-    if name == "relu":
-        return np.maximum(a, 0.0, out=a)
-    if name == "tanh":
-        return np.tanh(a)
-    return 1.0 / (1.0 + np.exp(-a))  # sigmoid
-
-
-def _scale_by_activation_grad(name: str, delta: np.ndarray, h: np.ndarray) -> None:
-    """delta *= the activation's derivative, in place, from its output h."""
-    # all three derivatives are expressible from the activation output
-    if name == "relu":
-        delta *= h > 0.0
-    elif name == "tanh":
-        delta *= 1.0 - h * h
-    else:
-        delta *= h * (1.0 - h)
-
-
 def _layer_outputs(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
     """X, then each layer's output; the last is affine, one column wide."""
-    act = params.spec.activation
+    activate = _ACTIVATIONS[params.spec.activation][0]
     last = len(params.weights) - 1
     h = X
     hs = [X]
@@ -144,7 +131,7 @@ def _layer_outputs(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
         h = np.dot(h, W)
         h += b
         if i < last:
-            h = _activate(act, h)
+            h = activate(h)
         hs.append(h)
     return hs
 
@@ -165,14 +152,14 @@ def _forward_backward(params: NetworkParams, grad: NetworkParams,
     loss = float(np.dot(diff, diff)) / diff.size
 
     # delta holds dL/d(pre-activation of layer i) while walking backwards
-    act = params.spec.activation
+    derivative = _ACTIVATIONS[params.spec.activation][1]
     delta = (2.0 / diff.size) * diff[:, None]
     for i in range(len(hs) - 2, -1, -1):
         np.dot(hs[i].T, delta, out=grad.weights[i])
         np.add.reduce(delta, axis=0, out=grad.biases[i])
         if i > 0:
             delta = np.dot(delta, params.weights[i].T)
-            _scale_by_activation_grad(act, delta, hs[i])
+            delta *= derivative(hs[i])
     return loss
 
 

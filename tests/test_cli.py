@@ -191,6 +191,29 @@ class TestTrainEvaluate:
         with open(pred_csv) as fh:
             assert len(fh.readlines()) == 41
 
+    def test_beta_out_of_range_is_usage_error(self, records_csv, tmp_path, capsys):
+        model = tmp_path / "m.npz"
+        assert run(["train", records_csv, "--arch", "4", "--epochs", "1", "--batch", "8",
+                    "--beta1", "1.0", "--out", str(model)], capsys) == (
+            cli.EXIT_USAGE, "", "error: beta1 must be in [0, 1), got 1.0\n")
+        assert not model.exists()
+
+    def test_betas_reach_the_optimizer(self, records_csv, tmp_path, capsys):
+        model = tmp_path / "m.npz"
+        assert run(["train", records_csv, "--arch", "8-4", "--epochs", "20", "--batch", "8",
+                    "--seed", "2", "--beta1", "0.5", "--beta2", "0.5",
+                    "--out", str(model)], capsys)[0] == cli.EXIT_OK
+        trained = network.load_model(model)
+
+        def direct(opt):
+            return network.train(network.NetworkSpec((8, 4)),
+                                 augment.identity_set(ame.read_records_csv(records_csv)),
+                                 network.TrainConfig(20, 8, 2), opt)
+        expected = direct(OptimizerConfig(beta1=0.5, beta2=0.5))
+        assert trained.params.flat.tobytes() == expected.params.flat.tobytes()
+        assert trained.loss_history == expected.loss_history
+        assert trained.params.flat.tobytes() != direct(OptimizerConfig()).params.flat.tobytes()
+
     def test_train_on_augmented_csv(self, records_csv, tmp_path, capsys):
         aug = str(tmp_path / "aug.csv")
         run(["augment", records_csv, "--technique", "gaussian", "--k", "1",
@@ -481,6 +504,27 @@ class TestRejectedCommandMakesNoDirectory:
         assert code == exit_code and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, line", [
+        (["sweep", "--config", "{config}", "--out", "{out}"],
+         "bad config [sweep] architectures: bad architecture token '32-16-8:3'; "
+         "expected WIDTHS:EPOCHS:BATCH like 32-16-8:3500:64"),
+        (["report", "--figure", "fig2", "--out", "{out}"],
+         "fig2 needs --records and --nuclide Z,A"),
+        (["report", "--figure", "fig2", "--records", "{records}", "--nuclide", "82-208",
+          "--out", "{out}"], "bad --nuclide '82-208'; expected Z,A like 82,208"),
+        (["report", "--figure", "table1", "--out", "{out}"],
+         "figure 'table1' needs a results CSV"),
+    ], ids=["sweep_bad_architecture", "fig2_no_nuclide", "fig2_bad_nuclide",
+            "report_no_results_csv"])
+    def test_usage_error_line(self, argv, line, records_csv, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_CONFIG.format(mass16=MASS16, mass20=MASS20)
+                          .replace("6-4:25:64", "32-16-8:3"))
+        out = tmp_path / "out"
+        argv = [arg.format(records=records_csv, config=config, out=out) for arg in argv]
+        assert run(argv, capsys) == (cli.EXIT_USAGE, "", f"error: {line}\n")
+        assert not out.exists()
+
 
 @pytest.mark.slow
 class TestSweep:
@@ -674,6 +718,15 @@ class TestSweepConfig:
         out = tmp_path / "out"
         assert run(["sweep", "--config", str(config), "--out", str(out)], capsys) == (
             cli.EXIT_USAGE, "", f"error: bad config [sweep] seeds: {message}\n")
+        assert not out.exists()
+
+    def test_split_without_training_records_is_one_line(self, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(self.VALID.replace("ratio = 0.7", "ratio = 0.0001"))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(config), "--out", str(out)], capsys) == (
+            cli.EXIT_USAGE, "",
+            "error: split ratio 0.0001 leaves no training records of 2408\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [

@@ -497,6 +497,16 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             build_trial_specs(architectures, levels, seeds, OptimizerConfig(), "relu")
 
+    def test_repeat_found_in_linear_time(self):
+        # a check of each value against the values before it took about a
+        # minute on an axis this long
+        seeds = [*range(100_000), 5]
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="^the sweep's seeds repeat 5$"):
+            build_trial_specs([((6, 4), 40, 8)], [("none", 0)], seeds, OptimizerConfig(),
+                              "relu")
+        assert time.perf_counter() - start < 10.0
+
     def test_empty_axes_rejected(self):
         with pytest.raises(ConfigurationError):
             build_trial_specs([], [("none", 0)], [0], OptimizerConfig(), "relu")
