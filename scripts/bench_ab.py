@@ -4,9 +4,12 @@
     python3 scripts/bench_ab.py --parent HEAD~1 --tag ingest [--pairs 10]
         [--workload headline_cell ...] [--seed 0] [--trace]
 
-The parent revision is extracted with ``git archive`` into a temporary
-directory, removed on exit. Each pair runs ``perfbench/run.py --seconds S
---trace 0`` once in each tree, the parent first in odd pairs, where S is
+Both sides run from temporary extracts, removed on exit: the parent
+revision's ``git archive``, and HEAD's with the checkout's own BENCHED_PATHS
+laid over it (checkout_tree). So the checkout's caches and work files, such
+as ``__pycache__`` or ``.perfbench_work/``, and its path do not differ
+between the sides. Each pair runs ``perfbench/run.py --seconds S --trace 0``
+once in each tree, the parent first in odd pairs, where S is
 BENCHMARK.json's ``run_seconds``. For every end-to-end metric of
 BENCHMARK.json, the ledger holds each pair's raw values, both sides' medians
 and quartiles, the change/parent ratio of the medians, the pairs won and a
@@ -36,6 +39,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,13 +60,14 @@ def load_benchmark() -> dict:
         return json.load(fh)
 
 
-def extract(rev: str, dest: str) -> str:
-    """Write the tree of `rev` into `dest`; returns the full commit id."""
+def extract(rev: str, dest: str, root: str = ROOT) -> str:
+    """Write the tree of `rev` of the checkout at `root` into `dest`; returns
+    the full commit id."""
     try:
         commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
-                                cwd=ROOT, capture_output=True, text=True, check=True)
+                                cwd=root, capture_output=True, text=True, check=True)
         archive = subprocess.run(["git", "archive", "--format=tar", commit.stdout.strip()],
-                                 cwd=ROOT, capture_output=True, check=True)
+                                 cwd=root, capture_output=True, check=True)
     except subprocess.CalledProcessError as exc:
         raise BenchError(f"git cannot extract {rev!r}: {exc.stderr.strip()}") from None
     with tempfile.TemporaryFile() as fh:
@@ -101,6 +106,32 @@ def checkout_identity(root: str = ROOT) -> dict:
             h.update(b"\0" + name + b"\0" + fh.read())
     dirty = bool(diff or untracked)
     return {"head": head, "dirty": dirty, "diff_sha256": h.hexdigest() if dirty else None}
+
+
+def checkout_tree(dest: str, root: str = ROOT) -> None:
+    """Write into `dest` what the change side runs: HEAD's tree of the
+    checkout at `root`, with BENCHED_PATHS replaced by the checkout's own
+    files there, tracked or untracked, that git does not ignore. A tracked
+    file deleted in the checkout is left out, and nothing outside
+    BENCHED_PATHS is taken from it."""
+    extract("HEAD", dest, root)
+    try:
+        names = subprocess.run(["git", "ls-files", "--cached", "--others", "--exclude-standard",
+                                "-z", "--", *BENCHED_PATHS], cwd=root, capture_output=True,
+                               check=True).stdout.split(b"\0")[:-1]
+    except subprocess.CalledProcessError as exc:
+        raise BenchError(f"git cannot list {root}: {exc.stderr.decode().strip()}") from None
+    for path in BENCHED_PATHS:
+        target = os.path.join(dest, path)
+        if os.path.isdir(target):
+            shutil.rmtree(target)
+        elif os.path.lexists(target):
+            os.remove(target)
+    for name in map(os.fsdecode, names):
+        source, target = os.path.join(root, name), os.path.join(dest, name)
+        if os.path.isfile(source):  # else a tracked file deleted in the checkout
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy(source, target)
 
 
 def run_perfbench(tree: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -235,11 +266,13 @@ def main(argv=None) -> int:
     benchmark = load_benchmark()
     args = parse_args(argv, [w["name"] for w in benchmark["workloads"]])
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    with tempfile.TemporaryDirectory(prefix="bench_ab_parent_") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="bench_ab_parent_") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="bench_ab_change_") as change_tree:
         try:
             commit = extract(args.parent, parent_tree)
             change = checkout_identity()
-            groups = [measure({"parent": parent_tree, "change": ROOT}, w, args.seed,
+            checkout_tree(change_tree)
+            groups = [measure({"parent": parent_tree, "change": change_tree}, w, args.seed,
                               args.pairs, args.trace, benchmark)
                       for w in workloads]
         except BenchError as exc:

@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,8 @@ def _rows(z, a, energy, origin) -> np.ndarray:
 @dataclass(frozen=True)
 class AugmentedTrainingSet:
     rows: np.ndarray        # ROW_DTYPE
-    technique: str          # "none", "error" or "gaussian"
-    k: int = 0              # resample count, gaussian only
+    technique: str          # a technique of LEVELS
+    k: int = 0              # resample count, in the technique's k range
     noise_seed: int | None = None
 
     def __post_init__(self):
@@ -220,22 +221,30 @@ def gaussian_resample(train: list[NuclideRecord], k: int,
     return AugmentedTrainingSet(rows=rows, technique="gaussian", k=k, noise_seed=noise_seed)
 
 
-TECHNIQUES = ("none", "error", "gaussian")
+# technique -> Level; build(train, k, noise_seed) gives its rows, size(train, k) their count
+Level = namedtuple("Level", "least_k most_k draws build size")
+LEVELS = {
+    "none": Level(0, 0, False, lambda t, *_: identity_set(t), lambda t, _: len(t)),
+    "error": Level(0, 0, False, lambda t, *_: error_resample(t),
+                   lambda t, _: 3 * len(t) - 2 * sum(r.be_err == 0 for r in t)),
+    "gaussian": Level(1, 2**32 - 1, True, gaussian_resample, lambda t, k: len(t) * (1 + k)),
+}
+TECHNIQUES = tuple(LEVELS)
 
 
 def check_level(technique: str, k: int, noise_seed: int | None) -> None:
-    """Raise ConfigurationError unless this is a level: gaussian takes an int k >= 1
-    and an int noise seed >= 0; none and error take k = 0 and None or an int >= 0.
-    A _stream key bounds the noise seed to 64 bits and gaussian's k to 32."""
+    """Raise ConfigurationError unless this is a level: a technique of LEVELS, an
+    int k in its range, and an int noise seed >= 0, or None if the technique draws
+    nothing. A _stream key bounds the noise seed to 64 bits and gaussian's k to 32."""
     if technique not in TECHNIQUES:
         raise ConfigurationError(f"unknown augmentation technique {technique!r}")
-    gaussian = technique == "gaussian"
-    if type(k) is not int or (k < 1 if gaussian else k != 0):
+    least, most, draws, _, _ = LEVELS[technique]
+    if type(k) is not int or k < least or least == most != k:
         raise ConfigurationError(
-            f"{technique} takes k {'>= 1' if gaussian else '= 0'}, got k={k!r}")
-    if k > 2**32 - 1:
-        raise ConfigurationError(f"gaussian takes k <= {2**32 - 1}, got k={k}")
-    if not (type(noise_seed) is int and noise_seed >= 0 or noise_seed is None and not gaussian):
+            f"{technique} takes k {'=' if least == most else '>='} {least}, got k={k!r}")
+    if k > most:
+        raise ConfigurationError(f"{technique} takes k <= {most}, got k={k}")
+    if not (type(noise_seed) is int and noise_seed >= 0 or noise_seed is None and not draws):
         raise ConfigurationError(f"noise_seed must be an integer >= 0, got {noise_seed!r}")
     if noise_seed is not None and noise_seed > 2**64 - 1:
         raise ConfigurationError(
@@ -243,8 +252,8 @@ def check_level(technique: str, k: int, noise_seed: int | None) -> None:
 
 
 def level_label(technique: str, k: int) -> str:
-    """The label of an augmentation level: "none", "error" or "gaussian<k>"."""
-    return f"gaussian{k}" if technique == "gaussian" else technique
+    """The label of an augmentation level: the technique, then k unless it is 0."""
+    return f"{technique}{k or ''}"
 
 
 def parse_level(text: str) -> tuple[str, int]:
@@ -259,19 +268,13 @@ def parse_level(text: str) -> tuple[str, int]:
 def apply(technique: str, k: int, train: list[NuclideRecord],
           noise_seed: int = 0) -> AugmentedTrainingSet:
     """The training set of one level (see check_level)."""
-    if technique == "gaussian":
-        return gaussian_resample(train, k, noise_seed)
     check_level(technique, k, noise_seed)
-    return identity_set(train) if technique == "none" else error_resample(train)
+    return LEVELS[technique].build(train, k, noise_seed)
 
 
 def level_size(train: list[NuclideRecord], technique: str, k: int) -> int:
     """len(apply(technique, k, train).rows), without augmenting."""
-    if technique == "gaussian":
-        return len(train) * (1 + k)
-    if technique == "error":
-        return 3 * len(train) - 2 * sum(1 for r in train if r.be_err == 0)
-    return len(train)
+    return LEVELS[technique].size(train, k)
 
 
 AUGMENTED_CSV_COLUMNS = ["z", "n", "a", "be_total_mev", "be_err_mev", "estimated", "origin"]

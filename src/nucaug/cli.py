@@ -104,7 +104,7 @@ def _records(path) -> list[ame.NuclideRecord]:
 
 def cmd_augment(args) -> int:
     records = _records(args.records_csv)
-    k = int(args.technique == "gaussian") if args.k is None else args.k
+    k = augment.LEVELS[args.technique].least_k if args.k is None else args.k
     aug = augment.apply(args.technique, k, records, args.noise_seed)
     augment.write_augmented_csv(aug, records, args.out)
     print(f"rows: {len(aug.rows)} (base {aug.base_size}, technique {aug.technique})")
@@ -330,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="augment a canonical CSV of training records")
     p.add_argument("records_csv")
     p.add_argument("--technique", required=True, choices=augment.TECHNIQUES)
-    p.add_argument("--k", type=int, help="gaussian resample count (default 1)")
-    p.add_argument("--noise-seed", type=int, default=0, help="gaussian noise seed")
+    p.add_argument("--k", type=int, help="resample count in the technique's range (default 1)")
+    p.add_argument("--noise-seed", type=int, default=0, help="seed of the technique's draws")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 

@@ -58,8 +58,8 @@ class TrialSpec:
     network: NetworkSpec
     train_config: TrainConfig
     optimizer: OptimizerConfig
-    technique: str            # "none", "error" or "gaussian"
-    k: int                    # gaussian resample count (0 otherwise)
+    technique: str            # a technique of augment.LEVELS
+    k: int                    # resample count, in the technique's k range
     noise_seed: int = 0
 
     def __post_init__(self):
@@ -78,10 +78,9 @@ class TrialSpec:
         return augment.level_label(self.technique, self.k)
 
     def cache_key(self, data_tag: str) -> str:
-        # "std=True;tstd=True" names the z-scoring that training always does;
-        # none and error draw nothing, so they are keyed "noise=0" whatever
-        # their noise seed. Both keep the keys of already cached trials.
-        noise = self.noise_seed if self.technique == "gaussian" else 0
+        # "std=True;tstd=True" names the z-scoring that training always does, and a level
+        # that draws nothing is keyed "noise=0": both keep the keys of cached trials
+        noise = self.noise_seed if augment.LEVELS[self.technique].draws else 0
         opt, cfg = self.optimizer, self.train_config
         parts = (f"arch={self.arch_label};act={self.network.activation};"
                  f"aug={self.technique};k={self.k};seed={cfg.seed};"
@@ -290,7 +289,7 @@ def build_trial_specs(architectures, levels, seeds, optimizer: OptimizerConfig,
     """Cartesian product of the sweep axes.
 
     architectures: (hidden_widths, epochs, batch) triples;
-    levels: ("none"|"error"|"gaussian", k) pairs. Every spec is validated
+    levels: (technique, k) pairs of augment.LEVELS. Every spec is validated
     here, so a bad setting, an empty axis or a repeated value on an axis
     (hidden widths, level label or seed) fails before any trial runs.
     """

@@ -128,7 +128,7 @@ def rms_vs_resampling(rows: list[dict], column: str) -> tuple[list[str], list[li
     out = []
     for arch in FIG3_ARCHS:
         pairs = sorted((k, v) for (a, technique, k), v in means.items()
-                       if a == arch and technique != "error")
+                       if a == arch and technique in ("none", "gaussian"))
         for k, v in pairs:
             out.append([arch, k, f"{v:.3f}"])
     if not out:
@@ -167,7 +167,7 @@ def _setting_comparison(rows: list[dict], setting: str) -> tuple[list[str], list
     header = [setting, "arch", "resamples", "mean_rms_mev"]
     cells = sorted((value, augment.level_label(technique, k), k, v)
                    for (value, a, technique, k), v in means.items()
-                   if a == STABILITY_ARCH and technique != "error")
+                   if a == STABILITY_ARCH and technique in ("none", "gaussian"))
     out = [[value, STABILITY_ARCH, k, f"{v:.3f}"] for value, _, k, v in cells]
     if not out:
         raise IncompleteDataError([STABILITY_ARCH])

@@ -156,6 +156,12 @@ class TestGaussianResample:
             assert np.array_equal(out.rows[:len(prev.rows)], prev.rows)
 
 
+# every technique of the level table at its least k, and at least k + 4 where
+# its range allows, so a new entry is covered without editing the tests below
+TABLE_LEVELS = [(technique, k) for technique, level in augment.LEVELS.items()
+                for k in (level.least_k, level.least_k + 4) if k <= level.most_k]
+
+
 class TestApply:
     def test_dispatch(self):
         assert augment.apply("none", 0, SAMPLE).technique == "none"
@@ -166,7 +172,7 @@ class TestApply:
         with pytest.raises(ConfigurationError):
             augment.apply("mixup", 0, SAMPLE)
 
-    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0), ("gaussian", 5)])
+    @pytest.mark.parametrize("technique, k", TABLE_LEVELS)
     def test_empty_set_at_every_level(self, technique, k):
         # an empty training set is training's one fault, with one message
         out = augment.apply(technique, k, [], noise_seed=3)
@@ -175,8 +181,7 @@ class TestApply:
             network.train(network.NetworkSpec(hidden_widths=(4,)), out,
                           network.TrainConfig(epochs=1, batch_size=8), OptimizerConfig())
 
-    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0), ("gaussian", 1),
-                                              ("gaussian", 5)])
+    @pytest.mark.parametrize("technique, k", TABLE_LEVELS)
     def test_level_size_is_the_augmented_size(self, split, technique, k):
         # the size the sweep manifest records, against the real augmentation
         rows = augment.apply(technique, k, split.train, noise_seed=3).rows
@@ -186,9 +191,7 @@ class TestApply:
 
 
 class TestLevels:
-    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0), ("gaussian", 0),
-                                              ("gaussian", 1), ("gaussian", 5),
-                                              ("gaussian", 12)])
+    @pytest.mark.parametrize("technique, k", TABLE_LEVELS)
     def test_parse_level_reads_every_label(self, technique, k):
         label = augment.level_label(technique, k)
         assert augment.parse_level(label) == (technique, k)

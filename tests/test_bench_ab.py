@@ -182,6 +182,34 @@ class TestLedger:
         assert all(u["dirty"] for u in untracked)
         assert len({u["diff_sha256"] for u in untracked}) == 2
 
+    def test_checkout_tree_is_head_with_the_benched_paths_laid_over(self, tmp_path):
+        repo, tree = tmp_path / "repo", tmp_path / "tree"
+        repo.mkdir()
+
+        def git(*argv):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+                           cwd=repo, capture_output=True, check=True)
+
+        git("init", "-q")
+        (repo / "src").mkdir()
+        for name in ("src/a.py", "src/c.py", "README.md"):
+            (repo / name).write_text("x = 1\n")
+        (repo / ".gitignore").write_text("__pycache__/\n")
+        git("add", ".")
+        git("commit", "-q", "-m", "a")
+        (repo / "src/a.py").write_text("x = 2\n")     # edited
+        (repo / "src/b.py").write_text("y = 1\n")     # untracked
+        (repo / "src/c.py").unlink()                  # deleted
+        (repo / "src/__pycache__").mkdir()
+        (repo / "src/__pycache__/x.pyc").write_bytes(b"\0")  # ignored
+        (repo / "README.md").write_text("edited\n")   # not run by the benchmark
+        bench_ab.checkout_tree(str(tree), str(repo))
+        assert sorted(str(p.relative_to(tree)) for p in tree.rglob("*")) == [
+            ".gitignore", "README.md", "src", "src/a.py", "src/b.py"]
+        assert (tree / "src/a.py").read_text() == "x = 2\n"
+        assert (tree / "src/b.py").read_text() == "y = 1\n"
+        assert (tree / "README.md").read_text() == "x = 1\n"
+
     def test_checkout_identity_needs_git(self, tmp_path):
         with pytest.raises(bench_ab.BenchError, match="git cannot describe"):
             bench_ab.checkout_identity(str(tmp_path))

@@ -151,16 +151,18 @@ class TestTrialSpec:
         assert toy_spec().cache_key("other") != base
         assert toy_spec(epochs=41).cache_key("tag") != base
 
-    @pytest.mark.parametrize("technique, k", [("none", 0), ("error", 0)])
-    def test_noise_seed_does_not_key_levels_that_draw_nothing(self, technique, k):
-        keys = {toy_spec(technique=technique, k=k, noise_seed=seed).cache_key("tag")
-                for seed in (0, 1, 7)}
-        assert len(keys) == 1
-
-    def test_noise_seed_keys_gaussian(self):
-        keys = {toy_spec(technique="gaussian", k=2, noise_seed=seed).cache_key("tag")
-                for seed in (0, 1, 7)}
-        assert len(keys) == 3
+    @pytest.mark.parametrize("technique", augment.TECHNIQUES)
+    def test_noise_seed_keys_a_level_exactly_when_it_changes_its_rows(self, technique):
+        # a level that draws nothing is keyed "noise=0" whatever its noise seed,
+        # which holds because its rows do not depend on that seed
+        k = augment.LEVELS[technique].least_k
+        seeds = (0, 1, 7)
+        keys = [toy_spec(technique=technique, k=k, noise_seed=seed).cache_key("tag")
+                for seed in seeds]
+        rows = [augment.apply(technique, k, toy_split().train, seed).rows for seed in seeds]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert (keys[i] == keys[j]) == np.array_equal(rows[i], rows[j])
+        assert len(set(keys)) == (3 if augment.LEVELS[technique].draws else 1)
 
 
 class TestRunTrial:

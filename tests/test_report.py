@@ -91,6 +91,18 @@ class TestCurves:
         with pytest.raises(IncompleteDataError):
             report.rms_vs_resampling(rows, "rms_test_mev")
 
+    @pytest.mark.parametrize("builder", [
+        lambda rows: report.rms_vs_resampling(rows, "rms_test_mev"),
+        report.optimizer_comparison, report.activation_comparison],
+        ids=["fig3", "fig6", "fig8"])
+    def test_series_are_none_and_gaussian_by_name(self, builder):
+        # fig3/fig5 and fig6/fig8 plot the Gaussian series: a level of another
+        # technique, even at a k that gaussian also has, joins none of them
+        rows = result_rows()
+        other = [{**r, "augmentation": "replicate", "rms_test_mev": 9.0}
+                 for r in rows if r["augmentation"] == "gaussian"]
+        assert builder(rows + other) == builder(rows)
+
     def test_per_seed_traces(self):
         header, out = report.per_seed_traces(result_rows(), "rms_test_mev")
         assert header == ["level", "seed", "rms_mev"]
