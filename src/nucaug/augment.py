@@ -336,7 +336,8 @@ def read_augmented_csv(path) -> AugmentedTrainingSet:
             raise ValueError(f"base_size {base!r} is not the {originals} original rows")
     except FileNotFoundError:
         return AugmentedTrainingSet(rows=rows, technique="none")
-    except ValueError as exc:  # not JSON, not text, or not a sidecar of these rows
+    # not JSON, nested too deep to decode, not text, or not a sidecar of these rows
+    except (ValueError, RecursionError) as exc:
         raise DataIntegrityError(f"bad augmented-CSV sidecar {sidecar}: {exc}") from None
     return AugmentedTrainingSet(rows=rows, technique=manifest["technique"], k=manifest["k"],
                                 noise_seed=manifest["noise_seed"])

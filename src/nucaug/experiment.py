@@ -24,8 +24,7 @@ import numpy as np
 from . import __version__, augment
 from .ame import DatasetSplit, NuclideRecord, read_csv, write_csv
 from .errors import ConfigurationError, TrainingDivergedError
-from .network import (NetworkSpec, TrainConfig, TrainedModel, arch_label, check_network,
-                      check_training, parse_arch, train)
+from .network import NetworkSpec, TrainConfig, TrainedModel, arch_label, parse_arch, train
 from .optimizers import OptimizerConfig, check_algorithm
 
 # (hidden widths, epochs, batch size) used throughout the baseline study
@@ -215,12 +214,12 @@ _RESULTS_KINDS = (parse_arch, str, int, str, str, int, _metric, _metric, _metric
 
 def _results_row(fields: list) -> dict:
     values = dict(zip(RESULTS_COLUMNS, fields))
-    check_network(values["arch"], values["activation"])
-    check_algorithm(values["optimizer"])
-    check_training(values["epochs"], values["batch"], values["seed"])
+    network = NetworkSpec(values["arch"], values["activation"])
+    check_algorithm(values["optimizer"])  # a row holds no other optimizer setting
+    TrainConfig(values["epochs"], values["batch"], values["seed"])
     augment.check_level(values["augmentation"], values["k"], 0)  # no noise seed
     _check_outcome(values["status"], values)
-    values["arch"] = arch_label(values["arch"])
+    values["arch"] = arch_label(network.hidden_widths)
     return values
 
 
@@ -229,10 +228,10 @@ def read_results_csv(path) -> list[dict]:
     of their checked values: ints for k, seed, epochs and batch, a float or
     None (an empty field) for each metric, and the arch_label of the widths
     read. A wrong header, a short or long row, a field not of its kind, or a
-    row that breaks the rules of its settings (check_network,
-    check_algorithm, check_training and augment.check_level, in that order)
-    or of its outcome (_check_outcome) raises MassTableParseError naming the
-    line."""
+    row that breaks the rules of its settings (those of the NetworkSpec, the
+    optimizer's check_algorithm, the TrainConfig and augment.check_level, in
+    that order) or of its outcome (_check_outcome) raises MassTableParseError
+    naming the line."""
     return read_csv(path, RESULTS_COLUMNS, _RESULTS_KINDS, _results_row)
 
 
@@ -271,7 +270,7 @@ def _cached_result(spec: TrialSpec, cache_dir: str, data_tag: str) -> TrialResul
             if fields[name] in ("inf", "nan"):
                 fields[name] = float(fields[name])
         return TrialResult(spec=spec, **fields)
-    except (FileNotFoundError, ValueError, KeyError, TypeError):
+    except (FileNotFoundError, ValueError, KeyError, TypeError, RecursionError):
         return None
 
 

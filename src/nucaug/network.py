@@ -51,45 +51,35 @@ def parse_arch(text: str) -> tuple[int, ...]:
 _MAX_PARAMS = np.iinfo(np.intp).max // 8
 
 
-def _layer_dims(hidden_widths: tuple[int, ...]) -> list[tuple[int, int]]:
-    widths = (2, *hidden_widths, 1)  # (Z, A) -> one energy
-    return list(zip(widths[:-1], widths[1:]))
-
-
-def _param_count(hidden_widths: tuple[int, ...]) -> int:
-    return sum((fi + 1) * fo for fi, fo in _layer_dims(hidden_widths))
-
-
-def check_network(hidden_widths: tuple[int, ...], activation: str) -> None:
-    """Raise ConfigurationError unless there is a hidden width and each is an
-    int (not a bool) >= 1, numpy can size the parameter vector, and the
-    activation is one of ACTIVATIONS."""
-    if not hidden_widths or not all(type(w) is int and w >= 1 for w in hidden_widths):
-        raise ConfigurationError(f"hidden widths must be integers >= 1, got {hidden_widths}")
-    if _param_count(hidden_widths) > _MAX_PARAMS:
-        raise ConfigurationError(
-            f"hidden widths {arch_label(hidden_widths)} need more than {_MAX_PARAMS} "
-            "parameters, the most a numpy array holds")
-    if activation not in ACTIVATIONS:
-        raise ConfigurationError(
-            f"activation must be one of {', '.join(ACTIVATIONS)}, got {activation!r}")
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
+    """The hidden widths and activation of a network. ConfigurationError
+    unless there is a hidden width and each is an int (not a bool) >= 1,
+    numpy can size the parameter vector, and the activation is one of
+    ACTIVATIONS."""
     hidden_widths: tuple[int, ...]
     activation: str = "relu"
 
     def __post_init__(self):
-        check_network(self.hidden_widths, self.activation)
+        widths = self.hidden_widths
+        if not widths or not all(type(w) is int and w >= 1 for w in widths):
+            raise ConfigurationError(f"hidden widths must be integers >= 1, got {widths}")
+        if param_count(self) > _MAX_PARAMS:
+            raise ConfigurationError(
+                f"hidden widths {arch_label(widths)} need more than {_MAX_PARAMS} "
+                "parameters, the most a numpy array holds")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigurationError(
+                f"activation must be one of {', '.join(ACTIVATIONS)}, got {self.activation!r}")
 
     def layer_dims(self) -> list[tuple[int, int]]:
-        return _layer_dims(self.hidden_widths)
+        widths = (2, *self.hidden_widths, 1)  # (Z, A) -> one energy
+        return list(zip(widths[:-1], widths[1:]))
 
 
 def param_count(spec: NetworkSpec) -> int:
     """Total scalar parameters: sum over layers of (fan_in + 1) * fan_out."""
-    return _param_count(spec.hidden_widths)
+    return sum((fi + 1) * fo for fi, fo in spec.layer_dims())
 
 
 class NetworkParams:
@@ -163,22 +153,19 @@ def _forward_backward(params: NetworkParams, grad: NetworkParams,
     return loss
 
 
-def check_training(epochs: int, batch_size: int, seed: int) -> None:
-    """Raise ConfigurationError unless epochs and batch_size are >= 1 and seed >= 0."""
-    for name, value, low in (("epochs", epochs, 1), ("batch_size", batch_size, 1),
-                             ("seed", seed, 0)):
-        if value < low:
-            raise ConfigurationError(f"{name} must be >= {low}, got {value}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
+    """Epochs and batch size, each >= 1, and a seed >= 0; ConfigurationError
+    names the first that is not."""
     epochs: int
     batch_size: int
     seed: int = 0  # of the initial weights and, from its own generator, the shuffle
 
     def __post_init__(self):
-        check_training(self.epochs, self.batch_size, self.seed)
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -307,5 +294,6 @@ def load_model(path) -> TrainedModel:
                     type(x) is float and 0 <= x < np.inf for x in history)):
                 raise ValueError("loss_history must be a nonempty list of finite floats >= 0")
             return TrainedModel(params, *stats[:2], *stats[2].tolist(), loss_history=history)
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, KeyError, TypeError, EOFError, RecursionError,
+            zipfile.BadZipFile) as exc:
         raise DataIntegrityError(f"{path} is not a model file: {exc}") from None

@@ -336,7 +336,9 @@ class TestAugmentedCsv:
          "base_size 4.0 is not the 4 original rows"),
         ('{"technique": "gaussian", "k": "3", "noise_seed": 1, "base_size": 4}',
          "gaussian takes k >= 1, got k='3'"),
-    ], ids=["not_json", "no_keys", "probe", "base_size", "base_size_float", "k_text"])
+        ("[" * 100_000, "maximum recursion depth exceeded while decoding a JSON array"),
+    ], ids=["not_json", "no_keys", "probe", "base_size", "base_size_float", "k_text",
+            "nested_too_deep"])
     def test_bad_sidecar_is_data_error(self, tmp_path, sidecar, message):
         path = tmp_path / "aug.csv"
         augment.write_augmented_csv(augment.error_resample(SAMPLE), SAMPLE, path)

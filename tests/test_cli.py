@@ -292,8 +292,10 @@ class TestTrainEvaluate:
         ("input_std", np.zeros(2), BAD_STATS),
         ("flat", np.full(17, np.inf), "flat vector must be finite"),  # arch 4
         ("flat", np.full(17, np.nan), "flat vector must be finite"),
+        ("meta", np.frombuffer(b"[" * 100_000, dtype=np.uint8),
+         "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
     ], ids=["mean_of_3", "target_stats_of_1", "target_stats_empty", "mean_of_text",
-            "std_0", "flat_inf", "flat_nan"])
+            "std_0", "flat_inf", "flat_nan", "meta_nested_too_deep"])
     def test_evaluate_model_of_bad_arrays_is_data_error(self, name, array, message,
                                                         records_csv, tmp_path, capsys):
         model = tmp_path / "model.npz"
@@ -986,13 +988,29 @@ class TestStrictResultsCsv:
          "line 2: a failed trial has no rms_test_mev, got '2.0'"),
         (f"{RESULTS_HEADER}\n32-16-8,none,0,adam,relu,0,,,0.1,3500,64,failed: x\n",
          "line 2: a failed trial has no final_train_loss, got '0.1'"),
+        # two faults each: the first in the order network, optimizer, training,
+        # level, outcome is the one reported
+        (f"{RESULTS_HEADER}\n"
+         f"{RESULTS_ROW.replace('32-16-8', '32-0-8').replace(',adam,', ',sgd,')}\n",
+         "line 2: hidden widths must be integers >= 1, got (32, 0, 8)"),
+        (f"{RESULTS_HEADER}\n"
+         f"{RESULTS_ROW.replace(',adam,', ',sgd,').replace(',3500,', ',0,')}\n",
+         "line 2: optimizer must be one of adam, nadam, adamax, rmsprop, got 'sgd'"),
+        (f"{RESULTS_HEADER}\n"
+         f"{RESULTS_ROW.replace(',3500,', ',0,').replace(',none,', ',mixup,')}\n",
+         "line 2: epochs must be >= 1, got 0"),
+        (f"{RESULTS_HEADER}\n"
+         f"{RESULTS_ROW.replace(',none,', ',mixup,').replace(',ok', ',banana')}\n",
+         "line 2: unknown augmentation technique 'mixup'"),
     ], ids=["canonical", "empty", "short", "long", "k", "seed", "rms", "epochs",
             "inf_rms_then_epochs", "arch",
             "augmentation", "arch_width_0", "negative_rms", "negative_loss", "none_k3",
             "error_k_negative", "gaussian_k0", "gaussian_k_over", "negative_seed", "epochs_0",
             "negative_batch",
             "optimizer", "activation", "status", "status_no_space", "ok_no_metrics",
-            "ok_no_loss", "failed_with_metrics", "failed_with_loss"])
+            "ok_no_loss", "failed_with_metrics", "failed_with_loss", "width_0_and_optimizer",
+            "optimizer_and_epochs_0", "epochs_0_and_augmentation",
+            "augmentation_and_status"])
     @pytest.mark.parametrize("figure", ["table1", "table2", "fig4", "fig6"])
     def test_bad_results_is_data_error(self, tmp_path, capsys, text, message, figure):
         path = tmp_path / "results.csv"

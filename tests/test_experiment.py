@@ -282,7 +282,8 @@ class TestTrialCache:
         (json.dumps(list(PAYLOAD)), None),
         ('"ok"', None),
         (json.dumps(PAYLOAD)[:20], None),
-    ], ids=["no-wall-time", "no-status", "list", "string", "truncated"])
+        ("[" * 100_000, None),  # nested too deep for json to decode
+    ], ids=["no-wall-time", "no-status", "list", "string", "truncated", "nested_too_deep"])
     def test_older_or_partial_file(self, tmp_path, text, wall_time):
         # a file from before wall_time was stored loads with 0.0; anything
         # else that is not a complete payload is a cache miss
