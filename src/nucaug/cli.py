@@ -58,6 +58,12 @@ def _parse_levels(text: str) -> list[tuple[str, int]]:
     return [augment.parse_level(token) for token in text.replace(",", " ").split()]
 
 
+def _data_path(text: str) -> str:
+    if not text or "\0" in text:  # no file has an empty name or one holding a NUL
+        raise ValueError(f"expected a mass-table file path, got {text!r}")
+    return text
+
+
 def _parse_architectures(text: str) -> list[tuple[tuple[int, ...], int, int]]:
     if text.strip() == "default":
         return list(experiment.ARCH_SETTINGS)
@@ -162,7 +168,7 @@ _REQUIRED = object()
 # anything else is rejected, and a key whose default is _REQUIRED must be set.
 # The [sweep] keys are named as the parameters of experiment.sweep.
 SWEEP_CONFIG_KEYS = {
-    "data": {"ame2016": (str, _REQUIRED), "ame2020": (str, None),
+    "data": {"ame2016": (_data_path, _REQUIRED), "ame2020": (_data_path, None),
              "z_min": (int, ame.Z_N_MIN), "n_min": (int, ame.Z_N_MIN)},
     "split": {"ratio": (float, 0.7), "seed": (int, 0)},
     "sweep": {"architectures": (_parse_architectures, _REQUIRED),
@@ -218,7 +224,7 @@ def cmd_sweep(args) -> int:
 
     checksums, experimental = {}, {}
     for key in ("ame2016", "ame2020"):  # the config key is the edition, in lower case
-        if data[key]:
+        if data[key] is not None:
             with open(data[key], "rb") as fh:
                 content = fh.read()
             checksums[key] = hashlib.sha256(content).hexdigest()

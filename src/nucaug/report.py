@@ -53,9 +53,20 @@ def _cell(row: dict) -> tuple[str, str, int]:
 
 
 @np.errstate(over="ignore")
-def _group_means(rows: list[dict], column: str, key=_cell) -> dict[tuple, float]:
-    """key(row) -> mean of the column over the rows that have a value (a
-    failed row has none)."""
+def _group_means(rows: list[dict], column: str, key=_cell, per=None) -> dict[tuple, float]:
+    """key(row) -> mean of the column over the rows that have a value (a failed
+    row has none): the one door every report reads its cells through. The rows
+    must hold one (optimizer, activation) pair, or with per set to "optimizer"
+    or "activation", one pair per value of that setting."""
+    pairs = sorted({(r["optimizer"], r["activation"]) for r in rows})
+    values, advice = [None] * len(pairs), "report one at a time"
+    if per is not None:
+        values = [o if per == "optimizer" else a for o, a in pairs]
+        advice = f"compare one {'activation' if per == 'optimizer' else 'optimizer'} per {per}"
+    mixed = [f"{o}/{a}" for (o, a), value in zip(pairs, values) if values.count(value) > 1]
+    if mixed:
+        raise ConfigurationError(
+            f"results mix (optimizer, activation) settings {', '.join(mixed)}; {advice}")
     acc = defaultdict(list)
     for row in rows:
         if row[column] is not None:
@@ -66,15 +77,6 @@ def _group_means(rows: list[dict], column: str, key=_cell) -> dict[tuple, float]
             raise DataIntegrityError(
                 f"the mean {column} of cell ({', '.join(map(str, cell))}) is not finite")
     return means
-
-
-def _one_setting(rows: list[dict]) -> None:
-    """Reject rows from more than one (optimizer, activation) pair."""
-    pairs = sorted({(r["optimizer"], r["activation"]) for r in rows})
-    if len(pairs) > 1:
-        raise ConfigurationError(
-            "results mix (optimizer, activation) settings "
-            f"{', '.join(f'{o}/{a}' for o, a in pairs)}; report one at a time")
 
 
 def _archs_in(rows: list[dict]) -> list[str]:
@@ -88,7 +90,6 @@ def pct_change(baseline: float, augmented: float) -> float:
 
 def table_error_augmentation(rows: list[dict]) -> tuple[list[str], list[list]]:
     """Baseline vs error-augmented mean test rms, plus percent change."""
-    _one_setting(rows)
     means = _group_means(rows, "rms_test_mev")
     header = ["arch", "n_params", "epochs", "batch",
               "rms_baseline_mev", "rms_augmented_mev", "pct_change"]
@@ -108,7 +109,6 @@ def table_error_augmentation(rows: list[dict]) -> tuple[list[str], list[list]]:
 
 def table_gaussian(rows: list[dict], column: str) -> tuple[list[str], list[list]]:
     """Mean rms per architecture for k = 0 (none) .. TABLE_MAX_K gaussian passes."""
-    _one_setting(rows)
     means = _group_means(rows, column)
     levels = [("none", 0)] + [("gaussian", k) for k in range(1, TABLE_MAX_K + 1)]
     header = ["arch"] + [f"rms_k{k}_mev" for k in range(0, TABLE_MAX_K + 1)]
@@ -122,7 +122,6 @@ def table_gaussian(rows: list[dict], column: str) -> tuple[list[str], list[list]
 def rms_vs_resampling(rows: list[dict], column: str) -> tuple[list[str], list[list]]:
     """Long-format mean rms vs resample count for the FIG3_ARCHS present;
     IncompleteDataError naming FIG3_ARCHS if none of them has a curve."""
-    _one_setting(rows)
     means = _group_means(rows, column)
     header = ["arch", "resamples", "mean_rms_mev"]
     out = []
@@ -137,33 +136,24 @@ def rms_vs_resampling(rows: list[dict], column: str) -> tuple[list[str], list[li
 
 
 def per_seed_traces(rows: list[dict], column: str) -> tuple[list[str], list[list]]:
-    """Per-seed rms of STABILITY_ARCH at each of STABILITY_LEVELS."""
-    _one_setting(rows)
+    """Per-seed rms of STABILITY_ARCH at each of STABILITY_LEVELS: the mean of
+    each (arch, technique, k, seed) cell, ordered by level, then seed."""
+    means = _group_means(rows, column, key=lambda row: (*_cell(row), row["seed"]))
     header = ["level", "seed", "rms_mev"]
     out = []
     for lvl in STABILITY_LEVELS:
         cell = (STABILITY_ARCH, *augment.parse_level(lvl))
-        cells = sorted((r["seed"], r[column]) for r in rows
-                       if _cell(r) == cell and r[column] is not None)
-        if not cells:
+        seeds = sorted((key[-1], v) for key, v in means.items() if key[:-1] == cell)
+        if not seeds:
             raise IncompleteDataError([(STABILITY_ARCH, lvl)])
-        for seed, v in cells:
-            out.append([lvl, seed, f"{v:.3f}"])
+        out += [[lvl, seed, f"{v:.3f}"] for seed, v in seeds]
     return header, out
 
 
 def _setting_comparison(rows: list[dict], setting: str) -> tuple[list[str], list[list]]:
-    """Mean test rms of STABILITY_ARCH per setting value and level, ordered by both;
-    each setting value's rows must share one value of the other setting."""
-    other = "activation" if setting == "optimizer" else "optimizer"
-    pairs = sorted({(r["optimizer"], r["activation"]) for r in rows})
-    values = [o if setting == "optimizer" else a for o, a in pairs]
-    mixed = [f"{o}/{a}" for (o, a), value in zip(pairs, values) if values.count(value) > 1]
-    if mixed:
-        raise ConfigurationError(
-            f"results mix (optimizer, activation) settings {', '.join(mixed)}; "
-            f"compare one {other} per {setting}")
-    means = _group_means(rows, "rms_test_mev", key=lambda row: (row[setting], *_cell(row)))
+    """Mean test rms of STABILITY_ARCH per setting value and level, ordered by both."""
+    means = _group_means(rows, "rms_test_mev", key=lambda row: (row[setting], *_cell(row)),
+                         per=setting)
     header = [setting, "arch", "resamples", "mean_rms_mev"]
     cells = sorted((value, augment.level_label(technique, k), k, v)
                    for (value, a, technique, k), v in means.items()

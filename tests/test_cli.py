@@ -698,6 +698,9 @@ class TestSweepConfig:
         ("architectures = 6-4:25:64", "architectures = 0:25:64"),
         ("seeds = 0 1", "seeds = 0 1\nnoise_seed = 18446744073709551616"),
         ("levels = none gaussian1", "levels = gaussian4294967296"),
+        pytest.param(f"ame2016 = {MASS16}", "ame2016 =", id="ame2016-empty"),
+        pytest.param(f"ame2020 = {MASS20}", "ame2020 =", id="ame2020-empty"),
+        pytest.param(f"ame2016 = {MASS16}", "ame2016 = a\0b", id="ame2016-nul"),
     ])
     def test_bad_config_is_one_line_usage_error(self, old, new, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
@@ -770,6 +773,32 @@ class TestSweepConfig:
             cli._load_sweep_config(str(config))
         except ConfigurationError:
             pass
+
+    NO_SLASH = st.text().filter(lambda text: "/" not in text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(NO_SLASH, NO_SLASH)
+    @example("", "")
+    @example("a\0b", "a\0b")
+    def test_any_data_path_is_one_line_error(self, tmp_path_factory, ame2016, ame2020):
+        # run from an empty directory with no "/" in either path, so no path
+        # names a table or a device: every sweep stops before OUT is made
+        base = tmp_path_factory.getbasetemp()
+        config = base / "data_fuzz.ini"
+        config.write_text(self.VALID.replace(MASS16, ame2016).replace(MASS20, ame2020),
+                          encoding="utf-8")
+        cwd = base / "data_fuzz_cwd"
+        cwd.mkdir(exist_ok=True)
+        err, home = io.StringIO(), os.getcwd()
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["sweep", "--config", str(config), "--out", "OUT"])
+        finally:
+            os.chdir(home)
+        assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert not list(cwd.iterdir())
 
 
 def loads_training_csv(path) -> bool:

@@ -110,6 +110,16 @@ class TestCurves:
             ("none", 0, 2.6), ("none", 1, 3.0), ("gaussian2", 0, 2.0),
             ("gaussian5", 0, 1.7)]
 
+    @pytest.mark.parametrize("column, means", [("rms_test_mev", ["3.100", "2.500", "2.200"]),
+                                               ("rms_extrap_mev", ["3.600", "3.000", "2.700"])])
+    def test_repeated_seed_cell_is_its_mean(self, column, means):
+        # rows merged by hand may hold one (arch, level, seed) twice: fig4 and
+        # fig7 print that cell's mean, as every other report does
+        rows = [r for r in result_rows() if r["arch"] == "32-16-8" and r["seed"] == 0]
+        rows += [{**r, column: r[column] + 1.0} for r in rows]
+        _, out = report.per_seed_traces(rows, column)
+        assert out == [[lvl, 0, mean] for lvl, mean in zip(report.STABILITY_LEVELS, means)]
+
     def test_per_seed_traces_missing_level(self):
         rows = [r for r in result_rows() if r["k"] != 5]
         with pytest.raises(IncompleteDataError, match="32-16-8', 'gaussian5'"):
